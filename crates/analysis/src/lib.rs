@@ -50,8 +50,8 @@ pub use parallel::{parallel_map, parallel_map_with};
 pub use regression::{linear_fit, power_law_fit, Fit};
 pub use runner::{Runner, RunnerReport};
 pub use scenario_sweep::{
-    AdaptiveConfig, AdaptiveSummary, FaultAxis, NetworkAxis, RadiusAxis, ScenarioCell,
-    ScenarioSweep, ScenarioSweepReport, SweepCell, SweepError, TransitionEstimate, WorldAxis,
+    AdaptiveConfig, AdaptiveSummary, Axis, RadiusAxis, ScenarioCell, ScenarioSweep,
+    ScenarioSweepReport, SweepCell, SweepError, TransitionEstimate,
 };
 pub use store::{ResultStore, StoreError, StoreRecord};
 // Seed derivation moved down-stack to `sparsegossip_walks` so the

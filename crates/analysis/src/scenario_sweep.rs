@@ -49,10 +49,10 @@
 //! ```
 
 use sparsegossip_core::theory;
-use sparsegossip_core::toml::{TomlDoc, TomlError};
+use sparsegossip_core::toml::{TomlDoc, TomlError, TomlValue};
 use sparsegossip_core::{
-    cell_seed, FaultConfig, Metric, NetworkConfig, ProcessKind, ScenarioSpec, SimError, SimScratch,
-    SpecError, WorldConfig,
+    cell_seed, scenario_key, KeyGroup, KeyValue, Metric, ProcessKind, ScenarioKey, ScenarioSpec,
+    SimError, SimScratch, SpecError, SCENARIO_KEYS,
 };
 
 use crate::store::{ResultStore, StoreError};
@@ -110,218 +110,17 @@ impl RadiusAxis {
     }
 }
 
-/// A network fault axis for protocol-twin sweeps: one
-/// [`NetworkConfig`] knob varied across a list of values while the
-/// base spec pins the others. Only
-/// [`ProcessKind::ProtocolBroadcast`] specs accept non-ideal
-/// networks, so a network axis on any other kind fails cell
-/// validation with [`SimError::UnsupportedSetting`].
+/// A network, world or fault axis: one [`SCENARIO_KEYS`] key with a
+/// sweep-file name, varied across `values` while the base spec pins
+/// every other key. Whether the base spec's kind honors the key is
+/// checked per cell, so e.g. a network axis on a non-twin kind fails
+/// [`ScenarioSweep::cells`] with [`SimError::UnsupportedSetting`].
 #[derive(Clone, Debug, PartialEq)]
-pub enum NetworkAxis {
-    /// Per-message loss probabilities (each finite, in `[0, 1]`).
-    DropProbs(Vec<f64>),
-    /// `StartGossip` timer periods in ticks (each `≥ 1`).
-    GossipIntervals(Vec<u64>),
-    /// Per-tick payload send caps (`0` = unlimited).
-    SendCaps(Vec<u32>),
-}
-
-impl NetworkAxis {
-    /// The spec-file key of the varied knob.
-    #[must_use]
-    pub fn key(&self) -> &'static str {
-        match self {
-            Self::DropProbs(_) => "drop_prob",
-            Self::GossipIntervals(_) => "gossip_interval",
-            Self::SendCaps(_) => "send_cap",
-        }
-    }
-
-    /// Number of axis points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::DropProbs(v) => v.len(),
-            Self::GossipIntervals(v) => v.len(),
-            Self::SendCaps(v) => v.len(),
-        }
-    }
-
-    /// Whether the axis has no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `(key, value)` label and full [`NetworkConfig`] of each axis
-    /// point, substituting the varied knob into `base`.
-    #[must_use]
-    pub fn resolve(&self, base: &NetworkConfig) -> Vec<((&'static str, f64), NetworkConfig)> {
-        // Axis values are validated by the builders / the TOML parser,
-        // so rebuilding the config cannot fail.
-        let build = |drop, delay, cap, interval| {
-            // detlint: allow(panic, axis values were validated by the builders)
-            NetworkConfig::new(drop, delay, cap, interval).expect("validated axis value")
-        };
-        match self {
-            Self::DropProbs(probs) => probs
-                .iter()
-                .map(|&p| {
-                    let net = build(p, base.delay_max(), base.send_cap(), base.gossip_interval());
-                    (("drop_prob", p), net)
-                })
-                .collect(),
-            Self::GossipIntervals(intervals) => intervals
-                .iter()
-                .map(|&iv| {
-                    let net = build(base.drop_prob(), base.delay_max(), base.send_cap(), iv);
-                    (("gossip_interval", iv as f64), net)
-                })
-                .collect(),
-            Self::SendCaps(caps) => caps
-                .iter()
-                .map(|&c| {
-                    let net = build(
-                        base.drop_prob(),
-                        base.delay_max(),
-                        c,
-                        base.gossip_interval(),
-                    );
-                    (("send_cap", f64::from(c)), net)
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A world-model axis for broadcast sweeps: one [`WorldConfig`] knob
-/// varied across a list of values while the base spec pins the others.
-/// Only [`ProcessKind::Broadcast`] specs accept active world axes, so
-/// a world axis on any other kind fails cell validation with
-/// [`SimError::UnsupportedSetting`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum WorldAxis {
-    /// City-block wall densities (each finite, in `[0, 1]`).
-    BarrierDensities(Vec<f64>),
-    /// Per-agent per-step replacement probabilities (each finite, in
-    /// `[0, 1]`).
-    ChurnRates(Vec<f64>),
-    /// Heterogeneous-class fractions (each finite, in `[0, 1]`); the
-    /// base spec's `hetero_factor` supplies the radius multiplier.
-    RadiusMixes(Vec<f64>),
-}
-
-impl WorldAxis {
-    /// The spec-file key of the varied knob.
-    #[must_use]
-    pub fn key(&self) -> &'static str {
-        match self {
-            Self::BarrierDensities(_) => "barrier_density",
-            Self::ChurnRates(_) => "churn_rate",
-            Self::RadiusMixes(_) => "hetero_fraction",
-        }
-    }
-
-    /// Number of axis points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::BarrierDensities(v) | Self::ChurnRates(v) | Self::RadiusMixes(v) => v.len(),
-        }
-    }
-
-    /// Whether the axis has no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `(key, value)` label and full [`WorldConfig`] of each axis
-    /// point, substituting the varied knob into `base`.
-    #[must_use]
-    pub fn resolve(&self, base: &WorldConfig) -> Vec<((&'static str, f64), WorldConfig)> {
-        let values = match self {
-            Self::BarrierDensities(v) | Self::ChurnRates(v) | Self::RadiusMixes(v) => v,
-        };
-        values
-            .iter()
-            .map(|&x| {
-                let mut world = *base;
-                match self {
-                    Self::BarrierDensities(_) => world.barrier_density = x,
-                    Self::ChurnRates(_) => world.churn_rate = x,
-                    Self::RadiusMixes(_) => world.hetero_fraction = x,
-                }
-                ((self.key(), x), world)
-            })
-            .collect()
-    }
-}
-
-/// A fault axis for protocol-twin sweeps: one [`FaultConfig`] knob
-/// varied across a list of values while the base spec pins the others
-/// (including the recovery switches and, for partitions, the window
-/// start). Only [`ProcessKind::ProtocolBroadcast`] specs accept
-/// non-trivial fault settings, so a fault axis on any other kind fails
-/// cell validation with [`SimError::UnsupportedSetting`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum FaultAxis {
-    /// Per-node per-tick crash probabilities (each finite, in
-    /// `[0, 1]`).
-    CrashProbs(Vec<f64>),
-    /// Partition-window lengths in ticks (`0` = no partition); the
-    /// base spec's `partition_start` supplies the window start.
-    PartitionLens(Vec<u64>),
-}
-
-impl FaultAxis {
-    /// The spec-file key of the varied knob.
-    #[must_use]
-    pub fn key(&self) -> &'static str {
-        match self {
-            Self::CrashProbs(_) => "crash_prob",
-            Self::PartitionLens(_) => "partition_len",
-        }
-    }
-
-    /// Number of axis points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::CrashProbs(v) => v.len(),
-            Self::PartitionLens(v) => v.len(),
-        }
-    }
-
-    /// Whether the axis has no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `(key, value)` label and full [`FaultConfig`] of each axis
-    /// point, substituting the varied knob into `base`.
-    #[must_use]
-    pub fn resolve(&self, base: &FaultConfig) -> Vec<((&'static str, f64), FaultConfig)> {
-        match self {
-            Self::CrashProbs(probs) => probs
-                .iter()
-                .map(|&p| {
-                    let mut faults = *base;
-                    faults.crash_prob = p;
-                    (("crash_prob", p), faults)
-                })
-                .collect(),
-            Self::PartitionLens(lens) => lens
-                .iter()
-                .map(|&len| {
-                    let mut faults = *base;
-                    faults.partition_len = len;
-                    (("partition_len", len as f64), faults)
-                })
-                .collect(),
-        }
-    }
+pub struct Axis {
+    /// The varied key.
+    pub key: &'static ScenarioKey,
+    /// The values, in cell order.
+    pub values: Vec<KeyValue>,
 }
 
 /// One cell of the expanded sweep grid: its axis coordinates and the
@@ -419,8 +218,9 @@ impl From<StoreError> for SweepError {
 
 /// A multi-axis sweep of one [`ScenarioSpec`] over {side, k, r}.
 ///
-/// Cells are ordered network-axis-major (when one is set), then
-/// side, then k, then radius; the seed of replicate `j` of a cell is
+/// Cells are ordered by the network, world and fault axes (each when
+/// set, outermost first), then side, then k, then radius; the seed of
+/// replicate `j` of a cell is
 /// [`cell_seed`]`(master, side, k, radius, j)` — content-addressed by
 /// the cell's own coordinates, so results never depend on the thread
 /// count, the grid shape or the replicate count (pinned by the
@@ -432,9 +232,8 @@ pub struct ScenarioSweep {
     sides: Vec<u32>,
     ks: Vec<usize>,
     radii: RadiusAxis,
-    network_axis: Option<NetworkAxis>,
-    world_axis: Option<WorldAxis>,
-    fault_axis: Option<FaultAxis>,
+    /// At most one axis per [`KeyGroup`], in group order.
+    axes: Vec<Axis>,
     replicates: u32,
     threads: usize,
     adaptive: Option<AdaptiveConfig>,
@@ -451,9 +250,7 @@ impl ScenarioSweep {
             sides: vec![base.config().side()],
             ks: vec![base.config().k()],
             radii: RadiusAxis::Absolute(vec![base.config().radius()]),
-            network_axis: None,
-            world_axis: None,
-            fault_axis: None,
+            axes: Vec::new(),
             replicates: 8,
             threads: 1,
             adaptive: None,
@@ -515,172 +312,69 @@ impl ScenarioSweep {
         self
     }
 
-    /// Sets the network axis to per-message drop probabilities
-    /// (protocol-twin sweeps only; other kinds fail cell validation).
+    /// Varies scenario key `key` across `values`: every cell of the
+    /// sweep runs once per value. The sweepable keys are those with a
+    /// [`ScenarioKey::sweep_name`] (`drop_prob`, `send_cap`,
+    /// `gossip_interval`, `barrier_density`, `churn_rate`,
+    /// `hetero_fraction`, `crash_prob`, `partition_len`). A sweep
+    /// holds at most one axis per [`KeyGroup`] (network, world, fault);
+    /// setting the same key again replaces its values. The base spec
+    /// pins the group's other keys, e.g. `hetero_factor` for a
+    /// `hetero_fraction` axis or `partition_start` for a
+    /// `partition_len` axis.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `probs` is empty or contains a non-finite value or
-    /// one outside `[0, 1]`.
-    #[must_use]
-    pub fn drop_probs(mut self, probs: Vec<f64>) -> Self {
-        assert!(!probs.is_empty(), "at least one drop probability required");
-        assert!(
-            probs
-                .iter()
-                .all(|p| p.is_finite() && (0.0..=1.0).contains(p)),
-            "drop probabilities must be finite and within [0, 1]"
-        );
-        self.network_axis = Some(NetworkAxis::DropProbs(probs));
-        self
+    /// [`SpecError::UnknownKey`] for a key no sweep can vary, and
+    /// [`SpecError::Toml`] (naming the sweep-file array) when `values`
+    /// is empty or the group already holds another key. A value of the
+    /// wrong type or range fails as
+    /// [`ScenarioSpecBuilder::set`](sparsegossip_core::ScenarioSpecBuilder::set)
+    /// on the base spec would, with a TOML error renamed to the array.
+    pub fn axis(mut self, key: &str, values: Vec<KeyValue>) -> Result<Self, SpecError> {
+        let Some((key, name)) = scenario_key(key).and_then(|k| Some((k, k.sweep_name?))) else {
+            return Err(SpecError::UnknownKey {
+                section: "sweep".to_string(),
+                key: key.to_string(),
+            });
+        };
+        let bad = |expected| {
+            SpecError::Toml(TomlError::BadValue {
+                section: "sweep".to_string(),
+                key: name.to_string(),
+                expected,
+            })
+        };
+        if values.is_empty() {
+            return Err(bad("non-empty array"));
+        }
+        for &value in &values {
+            self.base
+                .to_builder()
+                .set(key.name, value)
+                .map_err(|e| match e {
+                    SpecError::Toml(TomlError::BadValue { expected, .. }) => bad(expected),
+                    e => e,
+                })?;
+        }
+        match self.axes.iter_mut().find(|a| a.key.group == key.group) {
+            Some(axis) if axis.key != key => {
+                return Err(bad("single axis per group (network, world, fault)"))
+            }
+            Some(axis) => axis.values = values,
+            None => {
+                self.axes.push(Axis { key, values });
+                self.axes.sort_by_key(|a| a.key.group);
+            }
+        }
+        Ok(self)
     }
 
-    /// Sets the network axis to `StartGossip` timer periods
-    /// (protocol-twin sweeps only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `intervals` is empty or contains a zero.
-    #[must_use]
-    pub fn gossip_intervals(mut self, intervals: Vec<u64>) -> Self {
-        assert!(!intervals.is_empty(), "at least one interval required");
-        assert!(
-            intervals.iter().all(|iv| *iv >= 1),
-            "gossip intervals must be at least 1 tick"
-        );
-        self.network_axis = Some(NetworkAxis::GossipIntervals(intervals));
-        self
-    }
-
-    /// Sets the network axis to per-tick payload send caps
-    /// (protocol-twin sweeps only; `0` means unlimited).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caps` is empty.
-    #[must_use]
-    pub fn send_caps(mut self, caps: Vec<u32>) -> Self {
-        assert!(!caps.is_empty(), "at least one send cap required");
-        self.network_axis = Some(NetworkAxis::SendCaps(caps));
-        self
-    }
-
-    /// The network axis, if one is set.
+    /// The network, world and fault axes, in nesting order.
     #[inline]
     #[must_use]
-    pub fn network_axis(&self) -> Option<&NetworkAxis> {
-        self.network_axis.as_ref()
-    }
-
-    /// Sets the world axis to city-block wall densities (broadcast
-    /// sweeps only; other kinds fail cell validation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `densities` is empty or contains a non-finite value or
-    /// one outside `[0, 1]`.
-    #[must_use]
-    pub fn barrier_densities(mut self, densities: Vec<f64>) -> Self {
-        assert!(!densities.is_empty(), "at least one density required");
-        assert!(
-            densities
-                .iter()
-                .all(|d| d.is_finite() && (0.0..=1.0).contains(d)),
-            "barrier densities must be finite and within [0, 1]"
-        );
-        self.world_axis = Some(WorldAxis::BarrierDensities(densities));
-        self
-    }
-
-    /// Sets the world axis to per-agent per-step replacement
-    /// probabilities (broadcast sweeps only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is empty or contains a non-finite value or one
-    /// outside `[0, 1]`.
-    #[must_use]
-    pub fn churn_rates(mut self, rates: Vec<f64>) -> Self {
-        assert!(!rates.is_empty(), "at least one churn rate required");
-        assert!(
-            rates
-                .iter()
-                .all(|r| r.is_finite() && (0.0..=1.0).contains(r)),
-            "churn rates must be finite and within [0, 1]"
-        );
-        self.world_axis = Some(WorldAxis::ChurnRates(rates));
-        self
-    }
-
-    /// Sets the world axis to heterogeneous-class fractions (the base
-    /// spec's `hetero_factor` supplies the multiplier; broadcast sweeps
-    /// only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mixes` is empty or contains a non-finite value or one
-    /// outside `[0, 1]`.
-    #[must_use]
-    pub fn radius_mixes(mut self, mixes: Vec<f64>) -> Self {
-        assert!(!mixes.is_empty(), "at least one radius mix required");
-        assert!(
-            mixes
-                .iter()
-                .all(|m| m.is_finite() && (0.0..=1.0).contains(m)),
-            "radius mixes must be finite and within [0, 1]"
-        );
-        self.world_axis = Some(WorldAxis::RadiusMixes(mixes));
-        self
-    }
-
-    /// The world axis, if one is set.
-    #[inline]
-    #[must_use]
-    pub fn world_axis(&self) -> Option<&WorldAxis> {
-        self.world_axis.as_ref()
-    }
-
-    /// Sets the fault axis to per-node per-tick crash probabilities
-    /// (protocol-twin sweeps only; other kinds fail cell validation).
-    /// The base spec pins the recovery switches — sweep crash rates
-    /// with `retransmit` / `anti_entropy_interval` set there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probs` is empty or contains a non-finite value or
-    /// one outside `[0, 1]`.
-    #[must_use]
-    pub fn crash_probs(mut self, probs: Vec<f64>) -> Self {
-        assert!(!probs.is_empty(), "at least one crash probability required");
-        assert!(
-            probs
-                .iter()
-                .all(|p| p.is_finite() && (0.0..=1.0).contains(p)),
-            "crash probabilities must be finite and within [0, 1]"
-        );
-        self.fault_axis = Some(FaultAxis::CrashProbs(probs));
-        self
-    }
-
-    /// Sets the fault axis to partition-window lengths in ticks
-    /// (`0` = no partition; protocol-twin sweeps only). The base
-    /// spec's `partition_start` supplies the window start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lens` is empty.
-    #[must_use]
-    pub fn partition_lens(mut self, lens: Vec<u64>) -> Self {
-        assert!(!lens.is_empty(), "at least one partition length required");
-        self.fault_axis = Some(FaultAxis::PartitionLens(lens));
-        self
-    }
-
-    /// The fault axis, if one is set.
-    #[inline]
-    #[must_use]
-    pub fn fault_axis(&self) -> Option<&FaultAxis> {
-        self.fault_axis.as_ref()
+    pub fn axes(&self) -> &[Axis] {
+        &self.axes
     }
 
     /// Sets the number of replicates per cell.
@@ -764,49 +458,35 @@ impl ScenarioSweep {
     /// The first [`SimError`] any cell's validation produces (e.g. the
     /// base source index is out of range for a smaller `k`).
     pub fn cells(&self) -> Result<Vec<ScenarioCell>, SimError> {
-        // One (labelled) base spec per network-axis point; a single
-        // unlabelled base when no network axis is set, so existing
-        // sweeps keep their exact cell grid and seeds.
-        let net_bases: Vec<(Option<(&'static str, f64)>, ScenarioSpec)> = match &self.network_axis {
-            None => vec![(None, self.base)],
-            Some(axis) => {
-                let mut bases = Vec::with_capacity(axis.len());
-                for (label, net) in axis.resolve(self.base.network()) {
-                    bases.push((Some(label), self.base.with_network(net)?));
-                }
-                bases
-            }
-        };
-        // World-axis expansion nests inside the network axis, same
-        // backward-compatible shape: no world axis, no extra cells.
-        type Label = Option<(&'static str, f64)>;
-        let mut world_bases: Vec<((Label, Label), ScenarioSpec)> = Vec::new();
-        for (net, base) in net_bases {
-            match &self.world_axis {
-                None => world_bases.push(((net, None), base)),
-                Some(axis) => {
-                    for (label, world) in axis.resolve(base.world()) {
-                        world_bases.push(((net, Some(label)), base.with_world(world)?));
-                    }
+        // One labelled base spec per combination of axis values,
+        // nesting network → world → fault; a single unlabelled base
+        // without axes, so such sweeps keep their exact cell grid.
+        let mut bases: Vec<([Label; 3], ScenarioSpec)> = vec![([None; 3], self.base)];
+        for axis in &self.axes {
+            let slot = match axis.key.group {
+                KeyGroup::Network => 0,
+                KeyGroup::World => 1,
+                _ => 2,
+            };
+            let mut next = Vec::with_capacity(bases.len() * axis.values.len());
+            for (labels, base) in &bases {
+                for &value in &axis.values {
+                    let mut labels = *labels;
+                    labels[slot] = Some((axis.key.name, value.as_f64()));
+                    let spec = match base.with(axis.key.name, value) {
+                        Ok(spec) => spec,
+                        Err(SpecError::Sim(e)) => return Err(e),
+                        // `axis` checked each value against the key.
+                        Err(e) => unreachable!("axis value rejected after its check: {e}"),
+                    };
+                    next.push((labels, spec));
                 }
             }
-        }
-        // The fault axis nests innermost of the config axes, same
-        // rule again: no fault axis, no extra cells.
-        let mut bases: Vec<((Label, Label, Label), ScenarioSpec)> = Vec::new();
-        for ((net, world), base) in world_bases {
-            match &self.fault_axis {
-                None => bases.push(((net, world, None), base)),
-                Some(axis) => {
-                    for (label, faults) in axis.resolve(base.faults()) {
-                        bases.push(((net, world, Some(label)), base.with_faults(faults)?));
-                    }
-                }
-            }
+            bases = next;
         }
         let mut cells =
             Vec::with_capacity(bases.len() * self.sides.len() * self.ks.len() * self.radii.len());
-        for ((net, world, fault), base) in &bases {
+        for ([net, world, fault], base) in &bases {
             for &side in &self.sides {
                 for &k in &self.ks {
                     for radius in self.radii.resolve(side, k) {
@@ -1104,11 +784,9 @@ impl ScenarioSweep {
 
     /// Parses a sweep from text holding a `[scenario]` section and an
     /// optional `[sweep]` section with keys `sides`, `ks`, `radii` *or*
-    /// `r_factors`, at most one network axis (`drop_probs`,
-    /// `gossip_intervals` or `send_caps`), at most one world axis
-    /// (`barrier_densities`, `churn_rates` or `radius_mixes`), at most
-    /// one fault axis (`crash_probs` or `partition_lens`),
-    /// `replicates`, `seed`,
+    /// `r_factors`, the [`axis`](Self::axis) arrays named by
+    /// [`ScenarioKey::sweep_name`] (at most one per group, each value
+    /// read as its scenario key reads it), `replicates`, `seed`,
     /// `threads` and the adaptive-mode keys `adaptive`, `cell_budget`,
     /// `replicate_budget`, `tolerance` (axes default to the scenario's
     /// own values; the budget/tolerance keys require
@@ -1125,29 +803,22 @@ impl ScenarioSweep {
         let Some(table) = doc.opt_section("sweep") else {
             return Ok(sweep);
         };
-        const KNOWN: [&str; 18] = [
+        const KNOWN: [&str; 11] = [
             "sides",
             "ks",
             "radii",
             "r_factors",
-            "drop_probs",
-            "gossip_intervals",
-            "send_caps",
-            "barrier_densities",
-            "churn_rates",
-            "radius_mixes",
-            "crash_probs",
-            "partition_lens",
             "replicates",
             "seed",
+            "threads",
             "adaptive",
             "cell_budget",
             "replicate_budget",
             "tolerance",
         ];
-        const KNOWN_EXEC: [&str; 1] = ["threads"];
         for key in table.keys() {
-            if !KNOWN.contains(&key) && !KNOWN_EXEC.contains(&key) {
+            let axis = SCENARIO_KEYS.iter().any(|k| k.sweep_name == Some(key));
+            if !axis && !KNOWN.contains(&key) {
                 return Err(SpecError::UnknownKey {
                     section: "sweep".to_string(),
                     key: key.to_string(),
@@ -1199,101 +870,19 @@ impl ScenarioSweep {
             }
             (None, None) => {}
         }
-        let drop_probs = table.opt_f64_array("drop_probs")?;
-        let intervals = table.opt_u32_array("gossip_intervals")?;
-        let caps = table.opt_u32_array("send_caps")?;
-        let network_axes = usize::from(drop_probs.is_some())
-            + usize::from(intervals.is_some())
-            + usize::from(caps.is_some());
-        if network_axes > 1 {
-            return Err(bad(
-                "drop_probs".to_string(),
-                "single network axis (one of `drop_probs`, `gossip_intervals`, `send_caps`)",
-            ));
-        }
-        if let Some(probs) = drop_probs {
-            if probs.is_empty()
-                || probs
-                    .iter()
-                    .any(|p| !p.is_finite() || !(0.0..=1.0).contains(p))
-            {
-                return Err(bad(
-                    "drop_probs".to_string(),
-                    "non-empty array of finite numbers in [0, 1]",
-                ));
+        for key in &SCENARIO_KEYS {
+            let Some(name) = key.sweep_name else { continue };
+            match table.get(name) {
+                None => {}
+                Some(TomlValue::Array(items)) => {
+                    let values = items
+                        .iter()
+                        .map(|v| key.ty.parse("sweep", name, v))
+                        .collect::<Result<_, _>>()?;
+                    sweep = sweep.axis(key.name, values)?;
+                }
+                Some(_) => return Err(bad(name.to_string(), "non-empty array")),
             }
-            sweep = sweep.drop_probs(probs);
-        }
-        if let Some(intervals) = intervals {
-            if intervals.is_empty() || intervals.contains(&0) {
-                return Err(bad(
-                    "gossip_intervals".to_string(),
-                    "non-empty array of integers >= 1",
-                ));
-            }
-            sweep = sweep.gossip_intervals(intervals.into_iter().map(u64::from).collect());
-        }
-        if let Some(caps) = caps {
-            if caps.is_empty() {
-                return Err(bad("send_caps".to_string(), "non-empty array"));
-            }
-            sweep = sweep.send_caps(caps);
-        }
-        let densities = table.opt_f64_array("barrier_densities")?;
-        let rates = table.opt_f64_array("churn_rates")?;
-        let mixes = table.opt_f64_array("radius_mixes")?;
-        let world_axes = usize::from(densities.is_some())
-            + usize::from(rates.is_some())
-            + usize::from(mixes.is_some());
-        if world_axes > 1 {
-            return Err(bad(
-                "barrier_densities".to_string(),
-                "single world axis (one of `barrier_densities`, `churn_rates`, `radius_mixes`)",
-            ));
-        }
-        let unit_array = |key: &str, values: &[f64]| {
-            if values.is_empty()
-                || values
-                    .iter()
-                    .any(|x| !x.is_finite() || !(0.0..=1.0).contains(x))
-            {
-                Err(bad(
-                    key.to_string(),
-                    "non-empty array of finite numbers in [0, 1]",
-                ))
-            } else {
-                Ok(())
-            }
-        };
-        if let Some(densities) = densities {
-            unit_array("barrier_densities", &densities)?;
-            sweep = sweep.barrier_densities(densities);
-        }
-        if let Some(rates) = rates {
-            unit_array("churn_rates", &rates)?;
-            sweep = sweep.churn_rates(rates);
-        }
-        if let Some(mixes) = mixes {
-            unit_array("radius_mixes", &mixes)?;
-            sweep = sweep.radius_mixes(mixes);
-        }
-        let crash_probs = table.opt_f64_array("crash_probs")?;
-        let partition_lens = table.opt_u32_array("partition_lens")?;
-        if crash_probs.is_some() && partition_lens.is_some() {
-            return Err(bad(
-                "crash_probs".to_string(),
-                "single fault axis (either `crash_probs` or `partition_lens`, not both)",
-            ));
-        }
-        if let Some(probs) = crash_probs {
-            unit_array("crash_probs", &probs)?;
-            sweep = sweep.crash_probs(probs);
-        }
-        if let Some(lens) = partition_lens {
-            if lens.is_empty() {
-                return Err(bad("partition_lens".to_string(), "non-empty array"));
-            }
-            sweep = sweep.partition_lens(lens.into_iter().map(u64::from).collect());
         }
         if let Some(reps) = table.opt_u32("replicates")? {
             if reps == 0 {
@@ -1355,53 +944,14 @@ impl ScenarioSweep {
                 out.push_str(&format!("radii = [{}]\n", join_with(radii.iter(), ", ")));
             }
             RadiusAxis::CriticalFractions(factors) => {
-                let rendered: Vec<String> = factors.iter().map(|f| format_toml_f64(*f)).collect();
-                out.push_str(&format!("r_factors = [{}]\n", rendered.join(", ")));
+                let factors = join_with(factors.iter().map(|&f| KeyValue::Float(f)), ", ");
+                out.push_str(&format!("r_factors = [{factors}]\n"));
             }
         }
-        match &self.network_axis {
-            None => {}
-            Some(NetworkAxis::DropProbs(probs)) => {
-                let rendered: Vec<String> = probs.iter().map(|p| format_toml_f64(*p)).collect();
-                out.push_str(&format!("drop_probs = [{}]\n", rendered.join(", ")));
-            }
-            Some(NetworkAxis::GossipIntervals(intervals)) => {
-                out.push_str(&format!(
-                    "gossip_intervals = [{}]\n",
-                    join_with(intervals.iter(), ", ")
-                ));
-            }
-            Some(NetworkAxis::SendCaps(caps)) => {
-                out.push_str(&format!("send_caps = [{}]\n", join_with(caps.iter(), ", ")));
-            }
-        }
-        match &self.world_axis {
-            None => {}
-            Some(axis) => {
-                let key = match axis {
-                    WorldAxis::BarrierDensities(_) => "barrier_densities",
-                    WorldAxis::ChurnRates(_) => "churn_rates",
-                    WorldAxis::RadiusMixes(_) => "radius_mixes",
-                };
-                let (WorldAxis::BarrierDensities(values)
-                | WorldAxis::ChurnRates(values)
-                | WorldAxis::RadiusMixes(values)) = axis;
-                let rendered: Vec<String> = values.iter().map(|x| format_toml_f64(*x)).collect();
-                out.push_str(&format!("{key} = [{}]\n", rendered.join(", ")));
-            }
-        }
-        match &self.fault_axis {
-            None => {}
-            Some(FaultAxis::CrashProbs(probs)) => {
-                let rendered: Vec<String> = probs.iter().map(|p| format_toml_f64(*p)).collect();
-                out.push_str(&format!("crash_probs = [{}]\n", rendered.join(", ")));
-            }
-            Some(FaultAxis::PartitionLens(lens)) => {
-                out.push_str(&format!(
-                    "partition_lens = [{}]\n",
-                    join_with(lens.iter(), ", ")
-                ));
-            }
+        for axis in &self.axes {
+            let name = axis.key.sweep_name.unwrap_or(axis.key.name);
+            let values = join_with(axis.values.iter(), ", ");
+            out.push_str(&format!("{name} = [{values}]\n"));
         }
         out.push_str(&format!("replicates = {}\n", self.replicates));
         out.push_str(&format!("seed = {}\n", self.master_seed));
@@ -1410,7 +960,7 @@ impl ScenarioSweep {
             out.push_str("adaptive = true\n");
             out.push_str(&format!("cell_budget = {}\n", cfg.cell_budget));
             out.push_str(&format!("replicate_budget = {}\n", cfg.replicate_budget));
-            out.push_str(&format!("tolerance = {}\n", format_toml_f64(cfg.tolerance)));
+            out.push_str(&format!("tolerance = {}\n", KeyValue::Float(cfg.tolerance)));
         }
         out
     }
@@ -1420,25 +970,12 @@ fn join_with<T: ToString>(items: impl Iterator<Item = T>, sep: &str) -> String {
     items.map(|x| x.to_string()).collect::<Vec<_>>().join(sep)
 }
 
-/// Renders an `f64` so the subset parser reads it back as a float
-/// (integral values keep a `.0`).
-fn format_toml_f64(x: f64) -> String {
-    if x == x.trunc() {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
-    }
-}
+/// A cell's `(key, value)` label on one axis, `None` without that axis.
+type Label = Option<(&'static str, f64)>;
 
 /// The identity of a radius curve: every axis coordinate except the
 /// radius itself.
-type CurveKey = (
-    u32,
-    usize,
-    Option<(&'static str, f64)>,
-    Option<(&'static str, f64)>,
-    Option<(&'static str, f64)>,
-);
+type CurveKey = (u32, usize, Label, Label, Label);
 
 /// One evaluated cell during a run: the cell, the curve it belongs
 /// to, its spec's content hash (the store key, shared by every
@@ -1517,6 +1054,25 @@ fn knee_bracket(evals: &[Eval], curve: usize) -> Option<(usize, usize)> {
     best.and_then(|(pair, ratio)| (ratio >= ScenarioSweepReport::MIN_DROP_RATIO).then_some(pair))
 }
 
+/// The network, world and fault labels of a cell or curve, each with
+/// its table column and JSON field prefix.
+fn axis_labels(net: Label, world: Label, fault: Label) -> [(&'static str, Label); 3] {
+    [("net", net), ("world", world), ("fault", fault)]
+}
+
+/// The JSON fields of the present axis labels, each followed by `, `.
+fn json_labels(labels: [(&'static str, Label); 3]) -> String {
+    let mut out = String::new();
+    for (name, label) in labels {
+        if let Some((key, value)) = label {
+            out.push_str(&format!(
+                "\"{name}_key\": \"{key}\", \"{name}_value\": {value}, "
+            ));
+        }
+    }
+    out
+}
+
 /// One completed cell of a sweep: coordinates, theory prediction and
 /// replicate summary.
 #[derive(Clone, Debug)]
@@ -1569,6 +1125,12 @@ pub struct TransitionEstimate {
     pub drop_ratio: f64,
     /// `r_c = √(n/k)` from `sparsegossip_core::theory`.
     pub predicted_rc: f64,
+}
+
+impl SweepCell {
+    fn axis_labels(&self) -> [(&'static str, Label); 3] {
+        axis_labels(self.net, self.world, self.fault)
+    }
 }
 
 impl TransitionEstimate {
@@ -1648,8 +1210,6 @@ impl ScenarioSweepReport {
     /// are typically below 1, so no transition is reported.
     #[must_use]
     pub fn transitions(&self) -> Vec<TransitionEstimate> {
-        type Label = Option<(&'static str, f64)>;
-        type CurveKey = (u32, usize, Label, Label, Label);
         let mut out = Vec::new();
         let mut groups: Vec<CurveKey> = Vec::new();
         for cell in &self.cells {
@@ -1720,23 +1280,17 @@ impl ScenarioSweepReport {
         out
     }
 
-    /// Renders the per-cell summaries as an aligned table (with a
-    /// `net` column only when the sweep has a network axis, so
-    /// existing renderings stay byte-identical).
+    /// Renders the per-cell summaries as an aligned table, with a
+    /// `net`, `world` or `fault` column only when the sweep has that
+    /// axis, so existing renderings stay byte-identical.
     #[must_use]
     pub fn table(&self) -> Table {
-        let has_net = self.cells.iter().any(|c| c.net.is_some());
-        let has_world = self.cells.iter().any(|c| c.world.is_some());
-        let has_fault = self.cells.iter().any(|c| c.fault.is_some());
+        let shown = [0, 1, 2].map(|i| self.cells.iter().any(|c| c.axis_labels()[i].1.is_some()));
         let mut header = vec!["side".to_string(), "k".into(), "r".into()];
-        if has_net {
-            header.push("net".into());
-        }
-        if has_world {
-            header.push("world".into());
-        }
-        if has_fault {
-            header.push("fault".into());
+        for ((name, _), shown) in axis_labels(None, None, None).into_iter().zip(shown) {
+            if shown {
+                header.push(name.to_string());
+            }
         }
         header.extend([
             "r/r_c".to_string(),
@@ -1747,23 +1301,13 @@ impl ScenarioSweepReport {
         let mut t = Table::new(header);
         for c in &self.cells {
             let mut row = vec![c.side.to_string(), c.k.to_string(), c.radius.to_string()];
-            if has_net {
-                row.push(match c.net {
-                    Some((key, value)) => format!("{key}={value}"),
-                    None => "-".to_string(),
-                });
-            }
-            if has_world {
-                row.push(match c.world {
-                    Some((key, value)) => format!("{key}={value}"),
-                    None => "-".to_string(),
-                });
-            }
-            if has_fault {
-                row.push(match c.fault {
-                    Some((key, value)) => format!("{key}={value}"),
-                    None => "-".to_string(),
-                });
+            for ((_, label), shown) in c.axis_labels().into_iter().zip(shown) {
+                if shown {
+                    row.push(match label {
+                        Some((key, value)) => format!("{key}={value}"),
+                        None => "-".to_string(),
+                    });
+                }
             }
             row.extend([
                 format!("{:.2}", f64::from(c.radius) / c.critical_radius),
@@ -1799,29 +1343,16 @@ impl ScenarioSweepReport {
         out.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             let samples: Vec<String> = c.samples.iter().map(|s| format!("{s}")).collect();
-            // Network-axis labels appear only when the sweep has the
-            // axis, so pre-network JSON output stays byte-identical.
-            let mut net = match c.net {
-                Some((key, value)) => format!("\"net_key\": \"{key}\", \"net_value\": {value}, "),
-                None => String::new(),
-            };
-            if let Some((key, value)) = c.world {
-                net.push_str(&format!(
-                    "\"world_key\": \"{key}\", \"world_value\": {value}, "
-                ));
-            }
-            if let Some((key, value)) = c.fault {
-                net.push_str(&format!(
-                    "\"fault_key\": \"{key}\", \"fault_value\": {value}, "
-                ));
-            }
+            // Axis labels appear only for the sweep's axes, so JSON
+            // without them stays byte-identical.
+            let labels = json_labels(c.axis_labels());
             out.push_str(&format!(
                 "    {{\"side\": {}, \"k\": {}, \"r\": {}, {}\"r_c\": {}, \"mean\": {}, \
                  \"ci95\": {}, \"median\": {}, \"min\": {}, \"max\": {}, \"samples\": [{}]}}{}\n",
                 c.side,
                 c.k,
                 c.radius,
-                net,
+                labels,
                 c.critical_radius,
                 c.summary.mean(),
                 c.summary.ci95_half_width(),
@@ -1837,27 +1368,14 @@ impl ScenarioSweepReport {
         let transitions = self.transitions();
         for (i, t) in transitions.iter().enumerate() {
             let (lo, hi) = t.band();
-            let mut net = match t.net {
-                Some((key, value)) => format!("\"net_key\": \"{key}\", \"net_value\": {value}, "),
-                None => String::new(),
-            };
-            if let Some((key, value)) = t.world {
-                net.push_str(&format!(
-                    "\"world_key\": \"{key}\", \"world_value\": {value}, "
-                ));
-            }
-            if let Some((key, value)) = t.fault {
-                net.push_str(&format!(
-                    "\"fault_key\": \"{key}\", \"fault_value\": {value}, "
-                ));
-            }
+            let labels = json_labels(axis_labels(t.net, t.world, t.fault));
             out.push_str(&format!(
                 "    {{\"side\": {}, \"k\": {}, {}\"r_below\": {}, \"r_above\": {}, \
                  \"r_knee\": {}, \"drop_ratio\": {}, \"predicted_rc\": {}, \
                  \"band\": [{}, {}], \"within_band\": {}}}{}\n",
                 t.side,
                 t.k,
-                net,
+                labels,
                 t.r_below,
                 t.r_above,
                 t.r_knee,
@@ -1877,6 +1395,15 @@ impl ScenarioSweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparsegossip_core::{FaultConfig, WorldConfig};
+
+    fn floats(values: &[f64]) -> Vec<KeyValue> {
+        values.iter().map(|&x| KeyValue::Float(x)).collect()
+    }
+
+    fn ints(values: &[u64]) -> Vec<KeyValue> {
+        values.iter().map(|&i| KeyValue::Int(i)).collect()
+    }
 
     fn tiny_base() -> ScenarioSpec {
         ScenarioSpec::builder(ProcessKind::Broadcast, 12, 6)
@@ -2135,7 +1662,8 @@ mod tests {
     fn network_axis_expands_cells_network_major() {
         let sweep = ScenarioSweep::new(twin_base(), 1)
             .radii(vec![0, 2])
-            .drop_probs(vec![0.0, 0.5]);
+            .axis("drop_prob", floats(&[0.0, 0.5]))
+            .unwrap();
         let cells = sweep.cells().unwrap();
         assert_eq!(cells.len(), 4);
         let coords: Vec<(Option<(&str, f64)>, u32)> =
@@ -2157,7 +1685,8 @@ mod tests {
     #[test]
     fn network_axis_on_non_twin_kind_fails_cell_validation() {
         let err = ScenarioSweep::new(tiny_base(), 1)
-            .drop_probs(vec![0.5])
+            .axis("drop_prob", floats(&[0.5]))
+            .unwrap()
             .cells()
             .unwrap_err();
         assert!(matches!(err, SimError::UnsupportedSetting { .. }));
@@ -2166,9 +1695,15 @@ mod tests {
     #[test]
     fn network_axis_round_trips_through_toml() {
         for sweep in [
-            ScenarioSweep::new(twin_base(), 4).drop_probs(vec![0.0, 0.25, 0.5]),
-            ScenarioSweep::new(twin_base(), 4).gossip_intervals(vec![1, 2, 4]),
-            ScenarioSweep::new(twin_base(), 4).send_caps(vec![0, 1, 2]),
+            ScenarioSweep::new(twin_base(), 4)
+                .axis("drop_prob", floats(&[0.0, 0.25, 0.5]))
+                .unwrap(),
+            ScenarioSweep::new(twin_base(), 4)
+                .axis("gossip_interval", ints(&[1, 2, 4]))
+                .unwrap(),
+            ScenarioSweep::new(twin_base(), 4)
+                .axis("send_cap", ints(&[0, 1, 2]))
+                .unwrap(),
         ] {
             let text = sweep.to_toml();
             let parsed = ScenarioSweep::from_toml_str(&text).unwrap();
@@ -2192,10 +1727,71 @@ mod tests {
     }
 
     #[test]
+    fn axis_checks_keys_values_and_groups() {
+        let sweep = || ScenarioSweep::new(twin_base(), 1);
+        assert!(matches!(
+            sweep().axis("hetero_factor", floats(&[2.0])),
+            Err(SpecError::UnknownKey { .. })
+        ));
+        let bad_array = |r: Result<ScenarioSweep, SpecError>, array: &str| matches!(r, Err(SpecError::Toml(TomlError::BadValue { ref key, .. })) if key == array);
+        assert!(bad_array(sweep().axis("drop_prob", vec![]), "drop_probs"));
+        assert!(bad_array(
+            sweep().axis("drop_prob", floats(&[0.5, 1.5])),
+            "drop_probs"
+        ));
+        assert!(bad_array(
+            sweep().axis("send_cap", floats(&[1.0])),
+            "send_caps"
+        ));
+        assert!(bad_array(
+            sweep().axis("send_cap", ints(&[u64::from(u32::MAX) + 1])),
+            "send_caps"
+        ));
+        assert!(matches!(
+            sweep().axis("crash_prob", floats(&[2.0])),
+            Err(SpecError::Sim(SimError::InvalidFaultSetting { .. }))
+        ));
+        // One axis per group: another key of the group is refused, the
+        // same key replaces its values.
+        let net = sweep().axis("drop_prob", floats(&[0.5])).unwrap();
+        assert!(bad_array(
+            net.clone().axis("send_cap", ints(&[1])),
+            "send_caps"
+        ));
+        let replaced = net.axis("drop_prob", floats(&[0.1, 0.2])).unwrap();
+        assert_eq!(replaced.axes().len(), 1);
+        assert_eq!(replaced.axes()[0].values, floats(&[0.1, 0.2]));
+        // Axes nest network → world → fault whatever order they are set in.
+        let nested = sweep()
+            .axis("partition_len", ints(&[0, 4]))
+            .unwrap()
+            .axis("gossip_interval", ints(&[1, 2]))
+            .unwrap();
+        let keys: Vec<&str> = nested.axes().iter().map(|a| a.key.name).collect();
+        assert_eq!(keys, ["gossip_interval", "partition_len"]);
+    }
+
+    #[test]
+    fn integer_axes_take_their_keys_full_range() {
+        // `partition_len` and `gossip_interval` are u64 keys, so their
+        // sweep arrays accept what the scalar keys accept.
+        let twin = "[scenario]\nprocess = \"protocol-broadcast\"\nside = 12\nk = 6\n";
+        let sweep = ScenarioSweep::from_toml_str(&format!(
+            "{twin}\n[sweep]\npartition_lens = [5000000000]\ngossip_intervals = [5000000000]\n"
+        ))
+        .unwrap();
+        let cells = sweep.cells().unwrap();
+        assert_eq!(cells[0].spec.faults().partition_len, 5_000_000_000);
+        assert_eq!(cells[0].spec.network().gossip_interval(), 5_000_000_000);
+        assert_eq!(cells[0].fault, Some(("partition_len", 5_000_000_000.0)));
+    }
+
+    #[test]
     fn network_axis_report_labels_cells_and_transitions() {
         let report = ScenarioSweep::new(twin_base(), 9)
             .radii(vec![0, 1, 2])
-            .drop_probs(vec![0.0, 0.5])
+            .axis("drop_prob", floats(&[0.0, 0.5]))
+            .unwrap()
             .replicates(2)
             .run()
             .unwrap();
@@ -2217,7 +1813,8 @@ mod tests {
     fn world_axis_expands_cells_world_major_inside_network() {
         let sweep = ScenarioSweep::new(tiny_base(), 1)
             .radii(vec![0, 2])
-            .churn_rates(vec![0.0, 0.05]);
+            .axis("churn_rate", floats(&[0.0, 0.05]))
+            .unwrap();
         let cells = sweep.cells().unwrap();
         assert_eq!(cells.len(), 4);
         let coords: Vec<(Option<(&str, f64)>, u32)> =
@@ -2242,7 +1839,8 @@ mod tests {
             .build()
             .unwrap();
         let err = ScenarioSweep::new(base, 1)
-            .barrier_densities(vec![0.5])
+            .axis("barrier_density", floats(&[0.5]))
+            .unwrap()
             .cells()
             .unwrap_err();
         assert!(matches!(err, SimError::UnsupportedSetting { .. }));
@@ -2252,11 +1850,15 @@ mod tests {
     fn radius_mix_axis_substitutes_the_base_factor() {
         let base = ScenarioSpec::builder(ProcessKind::Broadcast, 12, 6)
             .radius(1)
-            .hetero_factor(2.0)
+            .world(WorldConfig {
+                hetero_factor: 2.0,
+                ..WorldConfig::DEFAULT
+            })
             .build()
             .unwrap();
         let cells = ScenarioSweep::new(base, 1)
-            .radius_mixes(vec![0.0, 0.5])
+            .axis("hetero_fraction", floats(&[0.0, 0.5]))
+            .unwrap()
             .cells()
             .unwrap();
         assert_eq!(cells.len(), 2);
@@ -2267,9 +1869,15 @@ mod tests {
     #[test]
     fn world_axis_round_trips_through_toml() {
         for sweep in [
-            ScenarioSweep::new(tiny_base(), 4).barrier_densities(vec![0.0, 0.5, 1.0]),
-            ScenarioSweep::new(tiny_base(), 4).churn_rates(vec![0.0, 0.01, 0.1]),
-            ScenarioSweep::new(tiny_base(), 4).radius_mixes(vec![0.0, 0.25]),
+            ScenarioSweep::new(tiny_base(), 4)
+                .axis("barrier_density", floats(&[0.0, 0.5, 1.0]))
+                .unwrap(),
+            ScenarioSweep::new(tiny_base(), 4)
+                .axis("churn_rate", floats(&[0.0, 0.01, 0.1]))
+                .unwrap(),
+            ScenarioSweep::new(tiny_base(), 4)
+                .axis("hetero_fraction", floats(&[0.0, 0.25]))
+                .unwrap(),
         ] {
             let text = sweep.to_toml();
             let parsed = ScenarioSweep::from_toml_str(&text).unwrap();
@@ -2296,7 +1904,8 @@ mod tests {
     fn world_axis_report_labels_cells_and_transitions() {
         let report = ScenarioSweep::new(tiny_base(), 9)
             .radii(vec![0, 1, 2])
-            .churn_rates(vec![0.0, 0.02])
+            .axis("churn_rate", floats(&[0.0, 0.02]))
+            .unwrap()
             .replicates(2)
             .run()
             .unwrap();
@@ -2317,7 +1926,8 @@ mod tests {
     fn fault_axis_expands_cells_innermost() {
         let sweep = ScenarioSweep::new(twin_base(), 1)
             .radii(vec![0, 2])
-            .crash_probs(vec![0.0, 0.2]);
+            .axis("crash_prob", floats(&[0.0, 0.2]))
+            .unwrap();
         let cells = sweep.cells().unwrap();
         assert_eq!(cells.len(), 4);
         let coords: Vec<(Option<(&str, f64)>, u32)> =
@@ -2341,11 +1951,15 @@ mod tests {
     fn partition_len_axis_substitutes_the_base_start() {
         let base = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 12, 6)
             .radius(1)
-            .partition(3, 0)
+            .faults(FaultConfig {
+                partition_start: 3,
+                ..FaultConfig::DEFAULT
+            })
             .build()
             .unwrap();
         let cells = ScenarioSweep::new(base, 1)
-            .partition_lens(vec![0, 8])
+            .axis("partition_len", ints(&[0, 8]))
+            .unwrap()
             .cells()
             .unwrap();
         assert_eq!(cells.len(), 2);
@@ -2357,7 +1971,8 @@ mod tests {
     #[test]
     fn fault_axis_on_non_twin_kind_fails_cell_validation() {
         let err = ScenarioSweep::new(tiny_base(), 1)
-            .crash_probs(vec![0.2])
+            .axis("crash_prob", floats(&[0.2]))
+            .unwrap()
             .cells()
             .unwrap_err();
         assert!(matches!(err, SimError::UnsupportedSetting { .. }));
@@ -2366,8 +1981,12 @@ mod tests {
     #[test]
     fn fault_axis_round_trips_through_toml() {
         for sweep in [
-            ScenarioSweep::new(twin_base(), 4).crash_probs(vec![0.0, 0.1, 0.3]),
-            ScenarioSweep::new(twin_base(), 4).partition_lens(vec![0, 4, 16]),
+            ScenarioSweep::new(twin_base(), 4)
+                .axis("crash_prob", floats(&[0.0, 0.1, 0.3]))
+                .unwrap(),
+            ScenarioSweep::new(twin_base(), 4)
+                .axis("partition_len", ints(&[0, 4, 16]))
+                .unwrap(),
         ] {
             let text = sweep.to_toml();
             let parsed = ScenarioSweep::from_toml_str(&text).unwrap();
@@ -2395,13 +2014,17 @@ mod tests {
     fn fault_axis_report_labels_cells_and_transitions() {
         let base = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 12, 6)
             .radius(1)
-            .retransmit(true)
-            .anti_entropy_interval(1)
+            .faults(FaultConfig {
+                retransmit: true,
+                anti_entropy_interval: 1,
+                ..FaultConfig::DEFAULT
+            })
             .build()
             .unwrap();
         let report = ScenarioSweep::new(base, 9)
             .radii(vec![0, 1, 2])
-            .crash_probs(vec![0.0, 0.1])
+            .axis("crash_prob", floats(&[0.0, 0.1]))
+            .unwrap()
             .replicates(2)
             .run()
             .unwrap();

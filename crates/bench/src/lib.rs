@@ -17,9 +17,50 @@
 //! `SG_SEED` overrides the master seed (default 2011, the venue year).
 //! `SG_THREADS` overrides the worker-thread count.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_core::{Mobility, SimConfig, Simulation};
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A global allocator that counts each thread's heap allocations, so a
+/// steady-state gate can assert that a warmed-up step never touches the
+/// heap (per thread, so parallel test harnesses do not pollute the
+/// counts). Install it in a binary or test crate with
+/// `#[global_allocator] static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;`
+/// and read the count with [`thread_allocs`].
+pub struct ThreadCountingAlloc;
+
+// `try_with`, so allocations during thread teardown (after the
+// thread-local is destroyed) stay safe.
+unsafe impl GlobalAlloc for ThreadCountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// The calling thread's heap allocations so far (allocations and
+/// reallocations), as counted by [`ThreadCountingAlloc`]; always 0
+/// unless that allocator is installed.
+#[must_use]
+pub fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
 
 /// Experiment scale selected via `SG_SCALE`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

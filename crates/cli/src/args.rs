@@ -89,19 +89,24 @@ impl ParsedArgs {
         self.flags.iter().any(|f| f == name)
     }
 
-    /// Whether `--name` was given a value.
+    /// Whether `--name` was given, with or without a value.
     #[must_use]
     pub fn has_option(&self, name: &str) -> bool {
-        self.options.contains_key(name)
+        self.options.contains_key(name) || self.flag(name)
     }
 
     /// Parses `--name` as `T`, with a default when absent.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError::BadValue`] if present but unparsable.
+    /// Returns [`ArgError::BadValue`] if present but unparsable, or
+    /// given as a bare flag with no value.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
         match self.options.get(name) {
+            None if self.flag(name) => Err(ArgError::BadValue {
+                key: name.to_string(),
+                value: String::new(),
+            }),
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| ArgError::BadValue {
                 key: name.to_string(),
@@ -166,6 +171,28 @@ mod tests {
         let p = ParsedArgs::parse(to_args("x --a --b 3")).unwrap();
         assert!(p.flag("a"));
         assert_eq!(p.get::<u32>("b", 0).unwrap(), 3);
+    }
+
+    #[test]
+    fn valued_option_without_a_value_is_rejected() {
+        for (line, key) in [
+            (
+                "broadcast --side 64 --k 2 --seed 1 --json --max-steps",
+                "max-steps",
+            ),
+            ("broadcast --radius --seed 1", "radius"),
+        ] {
+            let p = ParsedArgs::parse(to_args(line)).unwrap();
+            assert!(p.has_option(key), "{line}");
+            assert_eq!(
+                p.get::<u64>(key, 7).unwrap_err(),
+                ArgError::BadValue {
+                    key: key.to_string(),
+                    value: String::new(),
+                },
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -12,10 +12,10 @@ use rand::SeedableRng;
 use sparsegossip_analysis::{ResultStore, Runner, ScenarioSweep, StoreError, SweepError, Table};
 use sparsegossip_conngraph::{critical_radius, percolation_profile};
 use sparsegossip_core::{
-    BroadcastOutcome, CoverageOutcome, ExchangeRule, ExtinctionOutcome, FaultConfig, Gossip,
-    GossipOutcome, Infection, InfectionOutcome, Mobility, NetworkConfig, NetworkError,
-    PredatorPrey, ProcessKind, ProtocolBroadcast, ProtocolOutcome, RuntimeError, ScenarioSpec,
-    SimConfig, Simulation, SpecError, WorldConfig, WorldSim,
+    scenario_key, BroadcastOutcome, CoverageOutcome, ExchangeRule, ExtinctionOutcome, FaultConfig,
+    Gossip, GossipOutcome, Infection, InfectionOutcome, KeyType, KeyValue, Mobility, NetworkConfig,
+    NetworkError, PredatorPrey, ProcessKind, ProtocolBroadcast, ProtocolOutcome, RuntimeError,
+    ScenarioSpec, SimConfig, Simulation, SpecError, WorldConfig, WorldSim,
 };
 use sparsegossip_grid::{Grid, Point, Topology};
 use sparsegossip_walks::multi_cover;
@@ -247,43 +247,6 @@ fn world_summary(w: &WorldConfig) -> String {
         parts.push("adversarial".to_string());
     }
     parts.join(", ")
-}
-
-/// Parses a comma-separated `--name a,b,c` option into unit-interval
-/// floats, rejecting bad values here so the sweep builder's asserts
-/// can never fire on user input.
-fn unit_list(args: &ParsedArgs, name: &'static str) -> Result<Option<Vec<f64>>, CliError> {
-    if !args.has_option(name) {
-        return Ok(None);
-    }
-    let raw: String = args.get(name, String::new())?;
-    let mut out = Vec::new();
-    for part in raw.split(',') {
-        let v: f64 = part.trim().parse().map_err(|_| bad(name, &raw))?;
-        if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-            return Err(bad(name, &raw));
-        }
-        out.push(v);
-    }
-    Ok(Some(out))
-}
-
-/// Parses an optional comma-separated list of non-negative integers
-/// (e.g. `--partition-lens 0,8,32`).
-fn u64_list(args: &ParsedArgs, name: &'static str) -> Result<Option<Vec<u64>>, CliError> {
-    if !args.has_option(name) {
-        return Ok(None);
-    }
-    let raw: String = args.get(name, String::new())?;
-    let mut out = Vec::new();
-    for part in raw.split(',') {
-        let v: u64 = part.trim().parse().map_err(|_| bad(name, &raw))?;
-        out.push(v);
-    }
-    if out.is_empty() {
-        return Err(bad(name, &raw));
-    }
-    Ok(Some(out))
 }
 
 /// Renders `Option<u64>` as JSON (`null` when absent).
@@ -811,40 +774,34 @@ fn sweep(args: &ParsedArgs) -> Result<(), CliError> {
     if args.has_option("seed") {
         sweep = sweep.seed(args.get("seed", 2011u64)?);
     }
-    let barriers = unit_list(args, "barrier-densities")?;
-    let churns = unit_list(args, "churn-rates")?;
-    let mixes = unit_list(args, "radius-mixes")?;
-    let axes_given = usize::from(barriers.is_some())
-        + usize::from(churns.is_some())
-        + usize::from(mixes.is_some());
-    if axes_given > 1 {
-        return Err(bad(
-            "barrier-densities",
-            "at most one world axis (--barrier-densities, --churn-rates, --radius-mixes)",
-        ));
-    }
-    if let Some(v) = barriers {
-        sweep = sweep.barrier_densities(v);
-    }
-    if let Some(v) = churns {
-        sweep = sweep.churn_rates(v);
-    }
-    if let Some(v) = mixes {
-        sweep = sweep.radius_mixes(v);
-    }
-    let crash_probs = unit_list(args, "crash-probs")?;
-    let partition_lens = u64_list(args, "partition-lens")?;
-    if crash_probs.is_some() && partition_lens.is_some() {
-        return Err(bad(
-            "crash-probs",
-            "at most one fault axis (--crash-probs, --partition-lens)",
-        ));
-    }
-    if let Some(v) = crash_probs {
-        sweep = sweep.crash_probs(v);
-    }
-    if let Some(v) = partition_lens {
-        sweep = sweep.partition_lens(v);
+    // Axis overrides replace the spec file's axis of the same key; a
+    // second key in a group fails like a second array in `[sweep]`.
+    for (flag, key) in [
+        ("barrier-densities", "barrier_density"),
+        ("churn-rates", "churn_rate"),
+        ("radius-mixes", "hetero_fraction"),
+        ("crash-probs", "crash_prob"),
+        ("partition-lens", "partition_len"),
+    ] {
+        let raw: String = args.get(flag, String::new())?;
+        if raw.is_empty() {
+            continue;
+        }
+        let float = scenario_key(key).is_some_and(|k| k.ty == KeyType::F64);
+        let values: Option<Vec<KeyValue>> = raw
+            .split(',')
+            .map(|v| {
+                let v = v.trim();
+                if float {
+                    v.parse().ok().map(KeyValue::Float)
+                } else {
+                    v.parse().ok().map(KeyValue::Int)
+                }
+            })
+            .collect();
+        sweep = values
+            .and_then(|values| sweep.axis(key, values).ok())
+            .ok_or_else(|| bad(flag, &raw))?;
     }
     // Adaptive-mode overrides: --adaptive switches the mode on (the
     // spec's own `[sweep] adaptive` keys, if any, supply defaults);
@@ -1220,6 +1177,18 @@ mod tests {
         assert!(matches!(e, CliError::Sim(_)), "{e}");
         let e = dispatch(&parsed("protocol --side 8 --k 4 --restart-delay 0")).unwrap_err();
         assert!(matches!(e, CliError::Sim(_)), "{e}");
+        // A valued option given without its value is an error, never
+        // a silent default.
+        for line in [
+            "broadcast --side 64 --k 2 --seed 1 --json --max-steps",
+            "broadcast --radius --seed 1",
+        ] {
+            let e = dispatch(&parsed(line)).unwrap_err();
+            assert!(
+                matches!(e, CliError::Args(ArgError::BadValue { .. })),
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -97,7 +97,10 @@ pub use protocol_broadcast::{ProtocolBroadcast, ProtocolOutcome};
 pub use rumor::RumorSets;
 // Re-exported so spec-level consumers need not depend on the protocol
 // crate directly.
-pub use scenario::{Metric, ProcessKind, ScenarioSpec, ScenarioSpecBuilder, SpecError};
+pub use scenario::{
+    scenario_key, KeyGroup, KeyType, KeyValue, Metric, ProcessKind, ScenarioKey, ScenarioSpec,
+    ScenarioSpecBuilder, SpecError, SCENARIO_KEYS,
+};
 pub use sparsegossip_protocol::{
     FaultError, FaultPlan, NetworkConfig, NetworkError, PartitionSchedule, PartitionWindow,
     RecoveryConfig, RuntimeError, RuntimeStats,

@@ -32,14 +32,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use core::fmt;
+use core::fmt::{self, Write};
 use core::mem;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_grid::{Grid, Point, Topology};
 
-use crate::toml::{TomlDoc, TomlError};
+use crate::toml::{TomlDoc, TomlError, TomlValue};
 use crate::{
     Coverage, ExchangeRule, FaultConfig, Infection, Mobility, NetworkConfig, NetworkError,
     SimConfig, SimError, SimScratch, Simulation, WorldConfig, WorldSim,
@@ -203,6 +203,203 @@ impl From<SimError> for SpecError {
     }
 }
 
+/// The part of a spec a [`ScenarioKey`] configures. A sweep varies at
+/// most one key per group, nesting network → world → fault.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum KeyGroup {
+    /// Process, grid, agents, radius, rules, step cap and metric.
+    Core,
+    /// [`NetworkConfig`] knobs, honored by the protocol twin.
+    Network,
+    /// [`WorldConfig`] knobs.
+    World,
+    /// [`FaultConfig`] knobs, honored by the protocol twin.
+    Fault,
+}
+
+/// The value type of a [`ScenarioKey`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KeyType {
+    /// A non-negative integer fitting `u32`.
+    U32,
+    /// A non-negative integer (`u64`, or `usize` for agent counts).
+    U64,
+    /// A number.
+    F64,
+    /// A boolean.
+    Bool,
+    /// One of the listed names, separated by `", "`.
+    Name(&'static str),
+}
+
+impl KeyType {
+    /// What a value of this type must be, as error messages say it.
+    #[must_use]
+    pub fn expected(self) -> &'static str {
+        match self {
+            Self::U32 => "non-negative integer fitting u32",
+            Self::U64 => "non-negative integer",
+            Self::F64 => "number",
+            Self::Bool => "boolean",
+            Self::Name(_) => "string",
+        }
+    }
+
+    /// Reads one TOML value as this type (integers widen to numbers);
+    /// `section` and `key` name the value in errors.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Toml`] on a type mismatch or an integer out of
+    /// range, [`SpecError::UnknownName`] for an unlisted name.
+    pub fn parse(self, section: &str, key: &str, value: &TomlValue) -> Result<KeyValue, SpecError> {
+        let bad = || {
+            SpecError::Toml(TomlError::BadValue {
+                section: section.to_string(),
+                key: key.to_string(),
+                expected: self.expected(),
+            })
+        };
+        match (self, value) {
+            (Self::U32, TomlValue::Integer(i)) => u32::try_from(*i)
+                .map(|v| KeyValue::Int(v.into()))
+                .map_err(|_| bad()),
+            (Self::U64, TomlValue::Integer(i)) => {
+                u64::try_from(*i).map(KeyValue::Int).map_err(|_| bad())
+            }
+            (Self::F64, TomlValue::Float(x)) => Ok(KeyValue::Float(*x)),
+            (Self::F64, TomlValue::Integer(i)) => Ok(KeyValue::Float(*i as f64)),
+            (Self::Bool, TomlValue::Bool(b)) => Ok(KeyValue::Bool(*b)),
+            (Self::Name(allowed), TomlValue::Str(s)) => allowed
+                .split(", ")
+                .find(|name| name == s)
+                .map(KeyValue::Name)
+                .ok_or_else(|| SpecError::UnknownName {
+                    key: key.to_string(),
+                    value: s.clone(),
+                    allowed,
+                }),
+            _ => Err(bad()),
+        }
+    }
+}
+
+/// A value of a scenario key.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum KeyValue {
+    /// An integer.
+    Int(u64),
+    /// A number.
+    Float(f64),
+    /// A boolean.
+    Bool(bool),
+    /// A listed name.
+    Name(&'static str),
+}
+
+impl KeyValue {
+    /// The value as a number, the form sweep cells label it with
+    /// (booleans are 0 or 1, names NaN).
+    #[must_use]
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Self::Int(i) => i as f64,
+            Self::Float(x) => x,
+            Self::Bool(b) => f64::from(u8::from(b)),
+            Self::Name(_) => f64::NAN,
+        }
+    }
+}
+
+/// Renders the value as a TOML literal that [`KeyType::parse`] reads
+/// back: floats keep a `.0` when integral, names are quoted.
+impl fmt::Display for KeyValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Int(i) => write!(f, "{i}"),
+            Self::Float(x) if x.is_finite() && *x == x.trunc() => write!(f, "{x:.1}"),
+            Self::Float(x) => write!(f, "{x}"),
+            Self::Bool(b) => write!(f, "{b}"),
+            Self::Name(name) => write!(f, "\"{name}\""),
+        }
+    }
+}
+
+/// One key of the `[scenario]` schema.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScenarioKey {
+    /// The spec-file name.
+    pub name: &'static str,
+    /// The `[sweep]` array that varies this key, if a sweep can.
+    pub sweep_name: Option<&'static str>,
+    /// The group the key configures.
+    pub group: KeyGroup,
+    /// The value type.
+    pub ty: KeyType,
+}
+
+const fn key(
+    name: &'static str,
+    sweep_name: Option<&'static str>,
+    group: KeyGroup,
+    ty: KeyType,
+) -> ScenarioKey {
+    ScenarioKey {
+        name,
+        sweep_name,
+        group,
+        ty,
+    }
+}
+
+/// Every key of the `[scenario]` schema, in the order
+/// [`ScenarioSpec::to_toml`] writes them. Spec parsing, rendering,
+/// [`ScenarioSpec::with`] and the sweep axes all read this one table.
+pub static SCENARIO_KEYS: [ScenarioKey; 27] = {
+    use KeyGroup::{Core, Fault, Network, World};
+    use KeyType::{Bool, Name, F64, U32, U64};
+    [
+        key(
+            "process",
+            None,
+            Core,
+            Name("broadcast, gossip, infection, coverage, protocol-broadcast"),
+        ),
+        key("side", None, Core, U32),
+        key("k", None, Core, U64),
+        key("radius", None, Core, U32),
+        key("source", None, Core, U64),
+        key("mobility", None, Core, Name("all, informed-only")),
+        key("exchange", None, Core, Name("component, one-hop")),
+        key("max_steps", None, Core, U64),
+        key("drop_prob", Some("drop_probs"), Network, F64),
+        key("delay_max", None, Network, U64),
+        key("send_cap", Some("send_caps"), Network, U32),
+        key("gossip_interval", Some("gossip_intervals"), Network, U64),
+        key("barrier_density", Some("barrier_densities"), World, F64),
+        key("churn_rate", Some("churn_rates"), World, F64),
+        key("hetero_fraction", Some("radius_mixes"), World, F64),
+        key("hetero_factor", None, World, F64),
+        key("speed_fraction", None, World, F64),
+        key("speed_factor", None, World, U32),
+        key("num_sources", None, World, U64),
+        key("adversarial_sources", None, World, Bool),
+        key("crash_prob", Some("crash_probs"), Fault, F64),
+        key("restart_delay", None, Fault, U64),
+        key("partition_start", None, Fault, U64),
+        key("partition_len", Some("partition_lens"), Fault, U64),
+        key("retransmit", None, Fault, Bool),
+        key("anti_entropy_interval", None, Fault, U64),
+        key("metric", None, Core, Name("time, fraction")),
+    ]
+};
+
+/// The [`SCENARIO_KEYS`] entry named `name`.
+#[must_use]
+pub fn scenario_key(name: &str) -> Option<&'static ScenarioKey> {
+    SCENARIO_KEYS.iter().find(|k| k.name == name)
+}
+
 /// A validated, runnable scenario: process kind + simulation
 /// configuration + reported metric.
 ///
@@ -314,76 +511,38 @@ impl ScenarioSpec {
         &self.faults
     }
 
-    /// Re-derives this spec with a different network configuration,
-    /// re-validating: the sweep engine's way of expanding a network
+    /// A builder holding this spec's settings, so a caller can change
+    /// some and re-validate.
+    #[must_use]
+    pub fn to_builder(&self) -> ScenarioSpecBuilder {
+        let c = &self.config;
+        ScenarioSpecBuilder {
+            kind: self.kind,
+            side: c.side(),
+            k: c.k(),
+            radius: c.radius(),
+            source: c.source(),
+            max_steps: self.explicit_max_steps.then_some(c.max_steps()),
+            mobility: c.mobility(),
+            exchange_rule: c.exchange_rule(),
+            metric: self.metric,
+            network: self.network,
+            world: self.world,
+            faults: self.faults,
+        }
+    }
+
+    /// Re-derives this spec with one key set to `value`, re-validating:
+    /// the sweep engine's way of expanding a network, world or fault
     /// axis.
     ///
     /// # Errors
     ///
-    /// As [`ScenarioSpecBuilder::build`] (non-twin kinds reject any
+    /// As [`ScenarioSpecBuilder::set`], then as
+    /// [`ScenarioSpecBuilder::build`] (e.g. non-twin kinds reject any
     /// non-ideal network).
-    pub fn with_network(&self, network: NetworkConfig) -> Result<Self, SimError> {
-        let mut b = Self::builder(self.kind, self.config.side(), self.config.k())
-            .radius(self.config.radius())
-            .source(self.config.source())
-            .mobility(self.config.mobility())
-            .exchange_rule(self.config.exchange_rule())
-            .metric(self.metric)
-            .network(network)
-            .world(self.world)
-            .faults(self.faults);
-        if self.explicit_max_steps {
-            b = b.max_steps(self.config.max_steps());
-        }
-        b.build()
-    }
-
-    /// Re-derives this spec with different fault-injection/recovery
-    /// axes, re-validating: the sweep engine's way of expanding a fault
-    /// axis (crash probabilities, partition lengths).
-    ///
-    /// # Errors
-    ///
-    /// As [`ScenarioSpecBuilder::build`] (non-twin kinds reject any
-    /// non-trivial fault config).
-    pub fn with_faults(&self, faults: FaultConfig) -> Result<Self, SimError> {
-        let mut b = Self::builder(self.kind, self.config.side(), self.config.k())
-            .radius(self.config.radius())
-            .source(self.config.source())
-            .mobility(self.config.mobility())
-            .exchange_rule(self.config.exchange_rule())
-            .metric(self.metric)
-            .network(self.network)
-            .world(self.world)
-            .faults(faults);
-        if self.explicit_max_steps {
-            b = b.max_steps(self.config.max_steps());
-        }
-        b.build()
-    }
-
-    /// Re-derives this spec with different world-model axes,
-    /// re-validating: the sweep engine's way of expanding a world axis
-    /// (barrier densities, churn rates, radius mixes).
-    ///
-    /// # Errors
-    ///
-    /// As [`ScenarioSpecBuilder::build`] (kinds other than broadcast —
-    /// and infection, for the source axes — reject active world axes).
-    pub fn with_world(&self, world: WorldConfig) -> Result<Self, SimError> {
-        let mut b = Self::builder(self.kind, self.config.side(), self.config.k())
-            .radius(self.config.radius())
-            .source(self.config.source())
-            .mobility(self.config.mobility())
-            .exchange_rule(self.config.exchange_rule())
-            .metric(self.metric)
-            .network(self.network)
-            .world(world)
-            .faults(self.faults);
-        if self.explicit_max_steps {
-            b = b.max_steps(self.config.max_steps());
-        }
-        b.build()
+    pub fn with(&self, key: &str, value: KeyValue) -> Result<Self, SpecError> {
+        Ok(self.to_builder().set(key, value)?.build()?)
     }
 
     /// Re-derives this spec at different axis values (grid side, agent
@@ -397,19 +556,13 @@ impl ScenarioSpec {
     /// As [`ScenarioSpecBuilder::build`] (e.g. the base source index
     /// can be out of range for a smaller `k`).
     pub fn with_axes(&self, side: u32, k: usize, radius: u32) -> Result<Self, SimError> {
-        let mut b = Self::builder(self.kind, side, k)
-            .radius(radius)
-            .source(self.config.source())
-            .mobility(self.config.mobility())
-            .exchange_rule(self.config.exchange_rule())
-            .metric(self.metric)
-            .network(self.network)
-            .world(self.world)
-            .faults(self.faults);
-        if self.explicit_max_steps {
-            b = b.max_steps(self.config.max_steps());
+        ScenarioSpecBuilder {
+            side,
+            k,
+            radius,
+            ..self.to_builder()
         }
-        b.build()
+        .build()
     }
 
     /// Runs the scenario once with a fresh RNG seeded from `seed` and
@@ -569,115 +722,24 @@ impl ScenarioSpec {
     }
 
     /// Renders the spec as a `[scenario]` section in the TOML subset of
-    /// [`crate::toml`]. [`from_toml_str`](Self::from_toml_str) parses
-    /// it back to an equal spec.
+    /// [`crate::toml`], one line per key in [`SCENARIO_KEYS`] order.
+    /// Network, world and fault keys appear only off their defaults,
+    /// so specs that leave them alone keep their text and content hash.
+    /// [`from_toml_str`](Self::from_toml_str) parses it back to an
+    /// equal spec.
     #[must_use]
     pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str("[scenario]\n");
-        out.push_str(&format!("process = \"{}\"\n", self.kind));
-        out.push_str(&format!("side = {}\n", self.config.side()));
-        out.push_str(&format!("k = {}\n", self.config.k()));
-        out.push_str(&format!("radius = {}\n", self.config.radius()));
-        out.push_str(&format!("source = {}\n", self.config.source()));
-        let mobility = match self.config.mobility() {
-            Mobility::All => "all",
-            Mobility::InformedOnly => "informed-only",
-        };
-        out.push_str(&format!("mobility = \"{mobility}\"\n"));
-        let exchange = match self.config.exchange_rule() {
-            ExchangeRule::Component => "component",
-            ExchangeRule::OneHop => "one-hop",
-        };
-        out.push_str(&format!("exchange = \"{exchange}\"\n"));
-        if self.explicit_max_steps {
-            out.push_str(&format!("max_steps = {}\n", self.config.max_steps()));
+        let spec = self.to_builder();
+        let default = Self::builder(self.kind, 0, 0);
+        let mut out = String::from("[scenario]\n");
+        for key in &SCENARIO_KEYS {
+            match spec.get(key.name) {
+                Some(v) if key.group == KeyGroup::Core || default.get(key.name) != Some(v) => {
+                    let _ = writeln!(out, "{} = {v}", key.name);
+                }
+                _ => {}
+            }
         }
-        if self.network.drop_prob() != 0.0 {
-            out.push_str(&format!(
-                "drop_prob = {}\n",
-                format_toml_f64(self.network.drop_prob())
-            ));
-        }
-        if self.network.delay_max() != 0 {
-            out.push_str(&format!("delay_max = {}\n", self.network.delay_max()));
-        }
-        if self.network.send_cap() != 0 {
-            out.push_str(&format!("send_cap = {}\n", self.network.send_cap()));
-        }
-        if self.network.gossip_interval() != 1 {
-            out.push_str(&format!(
-                "gossip_interval = {}\n",
-                self.network.gossip_interval()
-            ));
-        }
-        // World axes, non-default values only, so pre-world spec files
-        // stay byte-identical.
-        let w = &self.world;
-        if w.barrier_density != 0.0 {
-            out.push_str(&format!(
-                "barrier_density = {}\n",
-                format_toml_f64(w.barrier_density)
-            ));
-        }
-        if w.churn_rate != 0.0 {
-            out.push_str(&format!("churn_rate = {}\n", format_toml_f64(w.churn_rate)));
-        }
-        if w.hetero_fraction != 0.0 {
-            out.push_str(&format!(
-                "hetero_fraction = {}\n",
-                format_toml_f64(w.hetero_fraction)
-            ));
-        }
-        if w.hetero_factor != 1.0 {
-            out.push_str(&format!(
-                "hetero_factor = {}\n",
-                format_toml_f64(w.hetero_factor)
-            ));
-        }
-        if w.speed_fraction != 0.0 {
-            out.push_str(&format!(
-                "speed_fraction = {}\n",
-                format_toml_f64(w.speed_fraction)
-            ));
-        }
-        if w.speed_factor != 1 {
-            out.push_str(&format!("speed_factor = {}\n", w.speed_factor));
-        }
-        if w.num_sources != 1 {
-            out.push_str(&format!("num_sources = {}\n", w.num_sources));
-        }
-        if w.adversarial_sources {
-            out.push_str("adversarial_sources = true\n");
-        }
-        // Fault axes, non-default values only, so pre-fault spec files
-        // stay byte-identical (and so do their content hashes).
-        let fc = &self.faults;
-        if fc.crash_prob != 0.0 {
-            out.push_str(&format!(
-                "crash_prob = {}\n",
-                format_toml_f64(fc.crash_prob)
-            ));
-        }
-        if fc.restart_delay != 1 {
-            out.push_str(&format!("restart_delay = {}\n", fc.restart_delay));
-        }
-        if fc.partition_start != 0 {
-            out.push_str(&format!("partition_start = {}\n", fc.partition_start));
-        }
-        if fc.partition_len != 0 {
-            out.push_str(&format!("partition_len = {}\n", fc.partition_len));
-        }
-        if fc.retransmit {
-            out.push_str("retransmit = true\n");
-        }
-        if fc.anti_entropy_interval != 0 {
-            out.push_str(&format!(
-                "anti_entropy_interval = {}\n",
-                fc.anti_entropy_interval
-            ));
-        }
-        out.push_str(&format!("metric = \"{}\"\n", self.metric));
         out
     }
 
@@ -702,133 +764,35 @@ impl ScenarioSpec {
     /// As [`from_toml_str`](Self::from_toml_str).
     pub fn from_toml_doc(doc: &TomlDoc) -> Result<Self, SpecError> {
         let table = doc.section("scenario")?;
-        const KNOWN: [&str; 27] = [
-            "process",
-            "side",
-            "k",
-            "radius",
-            "source",
-            "mobility",
-            "exchange",
-            "max_steps",
-            "drop_prob",
-            "delay_max",
-            "send_cap",
-            "gossip_interval",
-            "barrier_density",
-            "churn_rate",
-            "hetero_fraction",
-            "hetero_factor",
-            "speed_fraction",
-            "speed_factor",
-            "num_sources",
-            "adversarial_sources",
-            "crash_prob",
-            "restart_delay",
-            "partition_start",
-            "partition_len",
-            "retransmit",
-            "anti_entropy_interval",
-            "metric",
-        ];
-        for key in table.keys() {
-            if !KNOWN.contains(&key) {
-                return Err(SpecError::UnknownKey {
-                    section: "scenario".to_string(),
-                    key: key.to_string(),
-                });
+        if let Some(key) = table.keys().find(|k| scenario_key(k).is_none()) {
+            return Err(SpecError::UnknownKey {
+                section: "scenario".to_string(),
+                key: key.to_string(),
+            });
+        }
+        let mut builder = Self::builder(ProcessKind::Broadcast, 0, 0);
+        for key in &SCENARIO_KEYS {
+            match table.get(key.name) {
+                Some(value) => {
+                    builder = builder.set(key.name, key.ty.parse("scenario", key.name, value)?)?;
+                }
+                None if matches!(key.name, "process" | "side" | "k") => {
+                    return Err(TomlError::MissingKey {
+                        section: "scenario".to_string(),
+                        key: key.name.to_string(),
+                    }
+                    .into());
+                }
+                None => {}
             }
-        }
-        let kind_name = table.need_str("process")?;
-        let kind = ProcessKind::ALL
-            .into_iter()
-            .find(|k| k.as_str() == kind_name)
-            .ok_or_else(|| SpecError::UnknownName {
-                key: "process".to_string(),
-                value: kind_name.to_string(),
-                allowed: "broadcast, gossip, infection, coverage, protocol-broadcast",
-            })?;
-        let mut builder =
-            ScenarioSpec::builder(kind, table.need_u32("side")?, table.need_usize("k")?)
-                .radius(table.opt_u32("radius")?.unwrap_or(0))
-                .source(table.opt_usize("source")?.unwrap_or(0));
-        if let Some(cap) = table.opt_u64("max_steps")? {
-            builder = builder.max_steps(cap);
-        }
-        let network = NetworkConfig::new(
-            table.opt_f64("drop_prob")?.unwrap_or(0.0),
-            table.opt_u64("delay_max")?.unwrap_or(0),
-            table.opt_u32("send_cap")?.unwrap_or(0),
-            table.opt_u64("gossip_interval")?.unwrap_or(1),
-        )
-        .map_err(bad_network_value)?;
-        builder = builder.network(network);
-        let world = WorldConfig {
-            barrier_density: table.opt_f64("barrier_density")?.unwrap_or(0.0),
-            churn_rate: table.opt_f64("churn_rate")?.unwrap_or(0.0),
-            hetero_fraction: table.opt_f64("hetero_fraction")?.unwrap_or(0.0),
-            hetero_factor: table.opt_f64("hetero_factor")?.unwrap_or(1.0),
-            speed_fraction: table.opt_f64("speed_fraction")?.unwrap_or(0.0),
-            speed_factor: table.opt_u32("speed_factor")?.unwrap_or(1),
-            num_sources: table.opt_usize("num_sources")?.unwrap_or(1),
-            adversarial_sources: table.opt_bool("adversarial_sources")?.unwrap_or(false),
-        };
-        builder = builder.world(world);
-        let faults = FaultConfig {
-            crash_prob: table.opt_f64("crash_prob")?.unwrap_or(0.0),
-            restart_delay: table.opt_u64("restart_delay")?.unwrap_or(1),
-            partition_start: table.opt_u64("partition_start")?.unwrap_or(0),
-            partition_len: table.opt_u64("partition_len")?.unwrap_or(0),
-            retransmit: table.opt_bool("retransmit")?.unwrap_or(false),
-            anti_entropy_interval: table.opt_u64("anti_entropy_interval")?.unwrap_or(0),
-        };
-        builder = builder.faults(faults);
-        if let Some(name) = table.opt_str("mobility")? {
-            builder = builder.mobility(match name {
-                "all" => Mobility::All,
-                "informed-only" => Mobility::InformedOnly,
-                other => {
-                    return Err(SpecError::UnknownName {
-                        key: "mobility".to_string(),
-                        value: other.to_string(),
-                        allowed: "all, informed-only",
-                    })
-                }
-            });
-        }
-        if let Some(name) = table.opt_str("exchange")? {
-            builder = builder.exchange_rule(match name {
-                "component" => ExchangeRule::Component,
-                "one-hop" => ExchangeRule::OneHop,
-                other => {
-                    return Err(SpecError::UnknownName {
-                        key: "exchange".to_string(),
-                        value: other.to_string(),
-                        allowed: "component, one-hop",
-                    })
-                }
-            });
-        }
-        if let Some(name) = table.opt_str("metric")? {
-            builder = builder.metric(match name {
-                "time" => Metric::Time,
-                "fraction" => Metric::Fraction,
-                other => {
-                    return Err(SpecError::UnknownName {
-                        key: "metric".to_string(),
-                        value: other.to_string(),
-                        allowed: "time, fraction",
-                    })
-                }
-            });
         }
         Ok(builder.build()?)
     }
 }
 
-/// Maps a [`NetworkError`] from spec parsing onto the TOML error for
-/// the offending key, so the report points at the right line of the
-/// schema rather than inventing a new error variant.
+/// Maps a [`NetworkError`] onto the TOML error for the offending key,
+/// so the report points at the right line of the schema rather than
+/// inventing a new error variant.
 fn bad_network_value(e: NetworkError) -> SpecError {
     let (key, expected) = match e {
         NetworkError::DropProbOutOfRange => ("drop_prob", "finite number in [0, 1]"),
@@ -839,16 +803,6 @@ fn bad_network_value(e: NetworkError) -> SpecError {
         key: key.to_string(),
         expected,
     })
-}
-
-/// Renders an `f64` so the TOML subset parses it back as a float
-/// (integral values keep a trailing `.0`).
-fn format_toml_f64(x: f64) -> String {
-    if x == x.trunc() && x.is_finite() {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
-    }
 }
 
 impl fmt::Display for ScenarioSpec {
@@ -959,107 +913,172 @@ impl ScenarioSpecBuilder {
         self
     }
 
-    /// Sets the per-node per-tick crash probability (default 0;
-    /// protocol twin only).
+    /// The value of `key` (a [`SCENARIO_KEYS`] name), or `None` for an
+    /// unknown key or an unset step cap.
     #[must_use]
-    pub fn crash_prob(mut self, prob: f64) -> Self {
-        self.faults.crash_prob = prob;
-        self
+    pub fn get(&self, key: &str) -> Option<KeyValue> {
+        use KeyValue::{Bool, Float, Int, Name};
+        let (net, w, f) = (&self.network, &self.world, &self.faults);
+        Some(match key {
+            "process" => Name(self.kind.as_str()),
+            "side" => Int(self.side.into()),
+            "k" => Int(self.k as u64),
+            "radius" => Int(self.radius.into()),
+            "source" => Int(self.source as u64),
+            "mobility" => Name(match self.mobility {
+                Mobility::All => "all",
+                Mobility::InformedOnly => "informed-only",
+            }),
+            "exchange" => Name(match self.exchange_rule {
+                ExchangeRule::Component => "component",
+                ExchangeRule::OneHop => "one-hop",
+            }),
+            "max_steps" => Int(self.max_steps?),
+            "drop_prob" => Float(net.drop_prob()),
+            "delay_max" => Int(net.delay_max()),
+            "send_cap" => Int(net.send_cap().into()),
+            "gossip_interval" => Int(net.gossip_interval()),
+            "barrier_density" => Float(w.barrier_density),
+            "churn_rate" => Float(w.churn_rate),
+            "hetero_fraction" => Float(w.hetero_fraction),
+            "hetero_factor" => Float(w.hetero_factor),
+            "speed_fraction" => Float(w.speed_fraction),
+            "speed_factor" => Int(w.speed_factor.into()),
+            "num_sources" => Int(w.num_sources as u64),
+            "adversarial_sources" => Bool(w.adversarial_sources),
+            "crash_prob" => Float(f.crash_prob),
+            "restart_delay" => Int(f.restart_delay),
+            "partition_start" => Int(f.partition_start),
+            "partition_len" => Int(f.partition_len),
+            "retransmit" => Bool(f.retransmit),
+            "anti_entropy_interval" => Int(f.anti_entropy_interval),
+            "metric" => Name(self.metric.as_str()),
+            _ => return None,
+        })
     }
 
-    /// Sets how many ticks a crashed node stays down (default 1;
-    /// protocol twin only).
-    #[must_use]
-    pub fn restart_delay(mut self, delay: u64) -> Self {
-        self.faults.restart_delay = delay;
-        self
-    }
-
-    /// Declares a partition window of `len` ticks starting at `start`
-    /// (default none; protocol twin only).
-    #[must_use]
-    pub fn partition(mut self, start: u64, len: u64) -> Self {
-        self.faults.partition_start = start;
-        self.faults.partition_len = len;
-        self
-    }
-
-    /// Enables ack-driven retransmission with exponential backoff
-    /// (default off; protocol twin only).
-    #[must_use]
-    pub fn retransmit(mut self, on: bool) -> Self {
-        self.faults.retransmit = on;
-        self
-    }
-
-    /// Sets the anti-entropy digest interval in ticks (default 0, off;
-    /// protocol twin only).
-    #[must_use]
-    pub fn anti_entropy_interval(mut self, interval: u64) -> Self {
-        self.faults.anti_entropy_interval = interval;
-        self
-    }
-
-    /// Sets the city-block wall density (default 0, the open grid;
-    /// broadcast only).
-    #[must_use]
-    pub fn barrier_density(mut self, density: f64) -> Self {
-        self.world.barrier_density = density;
-        self
-    }
-
-    /// Sets the per-agent per-step replacement probability (default 0,
-    /// no churn; broadcast only).
-    #[must_use]
-    pub fn churn_rate(mut self, rate: f64) -> Self {
-        self.world.churn_rate = rate;
-        self
-    }
-
-    /// Sets the fraction of agents in the scaled-radius class
-    /// (default 0; broadcast only).
-    #[must_use]
-    pub fn hetero_fraction(mut self, fraction: f64) -> Self {
-        self.world.hetero_fraction = fraction;
-        self
-    }
-
-    /// Sets the radius multiplier of the heterogeneous class
-    /// (default 1; broadcast only).
-    #[must_use]
-    pub fn hetero_factor(mut self, factor: f64) -> Self {
-        self.world.hetero_factor = factor;
-        self
-    }
-
-    /// Sets the fraction of agents in the fast class (default 0).
-    #[must_use]
-    pub fn speed_fraction(mut self, fraction: f64) -> Self {
-        self.world.speed_fraction = fraction;
-        self
-    }
-
-    /// Sets the lazy sub-steps per step of the fast class (default 1).
-    #[must_use]
-    pub fn speed_factor(mut self, factor: u32) -> Self {
-        self.world.speed_factor = factor;
-        self
-    }
-
-    /// Sets the number of initially informed agents — the prefix
-    /// `0..num_sources` (default 1; broadcast and infection).
-    #[must_use]
-    pub fn num_sources(mut self, sources: usize) -> Self {
-        self.world.num_sources = sources;
-        self
-    }
-
-    /// Anchors every source at the worst-case corner node instead of a
-    /// uniform draw (default false; broadcast and infection).
-    #[must_use]
-    pub fn adversarial_sources(mut self, adversarial: bool) -> Self {
-        self.world.adversarial_sources = adversarial;
-        self
+    /// Sets `key` (a [`SCENARIO_KEYS`] name) to `value`, checking the
+    /// value's type and the range of the key's network, world or fault
+    /// group; whether the kind honors the key is checked by
+    /// [`build`](Self::build).
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::UnknownKey`] for a key outside the table;
+    /// [`SpecError::Toml`] for a value of the wrong type, an integer
+    /// too large for the key or an out-of-range network value;
+    /// [`SpecError::UnknownName`] for a name the key does not list;
+    /// [`SpecError::Sim`] for an out-of-range world or fault value.
+    pub fn set(mut self, key: &str, value: KeyValue) -> Result<Self, SpecError> {
+        let entry = scenario_key(key).ok_or_else(|| SpecError::UnknownKey {
+            section: "scenario".to_string(),
+            key: key.to_string(),
+        })?;
+        let bad = || {
+            SpecError::Toml(TomlError::BadValue {
+                section: "scenario".to_string(),
+                key: key.to_string(),
+                expected: entry.ty.expected(),
+            })
+        };
+        let int = || match value {
+            KeyValue::Int(i) => Ok(i),
+            _ => Err(bad()),
+        };
+        let int32 = || int().and_then(|i| u32::try_from(i).map_err(|_| bad()));
+        let size = || int().and_then(|i| usize::try_from(i).map_err(|_| bad()));
+        let float = || match value {
+            KeyValue::Float(x) => Ok(x),
+            _ => Err(bad()),
+        };
+        let flag = || match value {
+            KeyValue::Bool(b) => Ok(b),
+            _ => Err(bad()),
+        };
+        let name = || match value {
+            KeyValue::Name(name) => Ok(name),
+            _ => Err(bad()),
+        };
+        let unknown_name = |name: &str| SpecError::UnknownName {
+            key: key.to_string(),
+            value: name.to_string(),
+            allowed: match entry.ty {
+                KeyType::Name(allowed) => allowed,
+                _ => "",
+            },
+        };
+        let net = self.network;
+        let (mut drop, mut delay, mut cap, mut interval) = (
+            net.drop_prob(),
+            net.delay_max(),
+            net.send_cap(),
+            net.gossip_interval(),
+        );
+        match key {
+            "process" => {
+                let n = name()?;
+                self.kind = ProcessKind::ALL
+                    .into_iter()
+                    .find(|k| k.as_str() == n)
+                    .ok_or_else(|| unknown_name(n))?;
+            }
+            "side" => self.side = int32()?,
+            "k" => self.k = size()?,
+            "radius" => self.radius = int32()?,
+            "source" => self.source = size()?,
+            "mobility" => {
+                self.mobility = match name()? {
+                    "all" => Mobility::All,
+                    "informed-only" => Mobility::InformedOnly,
+                    other => return Err(unknown_name(other)),
+                }
+            }
+            "exchange" => {
+                self.exchange_rule = match name()? {
+                    "component" => ExchangeRule::Component,
+                    "one-hop" => ExchangeRule::OneHop,
+                    other => return Err(unknown_name(other)),
+                }
+            }
+            "max_steps" => self.max_steps = Some(int()?),
+            "drop_prob" => drop = float()?,
+            "delay_max" => delay = int()?,
+            "send_cap" => cap = int32()?,
+            "gossip_interval" => interval = int()?,
+            "barrier_density" => self.world.barrier_density = float()?,
+            "churn_rate" => self.world.churn_rate = float()?,
+            "hetero_fraction" => self.world.hetero_fraction = float()?,
+            "hetero_factor" => self.world.hetero_factor = float()?,
+            "speed_fraction" => self.world.speed_fraction = float()?,
+            "speed_factor" => self.world.speed_factor = int32()?,
+            "num_sources" => self.world.num_sources = size()?,
+            "adversarial_sources" => self.world.adversarial_sources = flag()?,
+            "crash_prob" => self.faults.crash_prob = float()?,
+            "restart_delay" => self.faults.restart_delay = int()?,
+            "partition_start" => self.faults.partition_start = int()?,
+            "partition_len" => self.faults.partition_len = int()?,
+            "retransmit" => self.faults.retransmit = flag()?,
+            "anti_entropy_interval" => self.faults.anti_entropy_interval = int()?,
+            "metric" => {
+                self.metric = match name()? {
+                    "time" => Metric::Time,
+                    "fraction" => Metric::Fraction,
+                    other => return Err(unknown_name(other)),
+                }
+            }
+            // `scenario_key` admitted only table keys, all matched above.
+            _ => {}
+        }
+        match entry.group {
+            KeyGroup::Core => {}
+            KeyGroup::Network => {
+                self.network =
+                    NetworkConfig::new(drop, delay, cap, interval).map_err(bad_network_value)?;
+            }
+            KeyGroup::World => self.world.validate()?,
+            KeyGroup::Fault => self.faults.validate()?,
+        }
+        Ok(self)
     }
 
     /// Validates and produces the spec.
@@ -1476,22 +1495,26 @@ mod tests {
     }
 
     #[test]
-    fn with_network_rederives_and_revalidates() {
+    fn with_rederives_and_revalidates() {
         let base = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 16, 6)
             .radius(1)
             .build()
             .unwrap();
-        let lossy = NetworkConfig::new(0.25, 1, 2, 3).unwrap();
-        let derived = base.with_network(lossy).unwrap();
-        assert_eq!(derived.network(), &lossy);
+        let derived = base.with("drop_prob", KeyValue::Float(0.25)).unwrap();
+        assert_eq!(
+            derived.network(),
+            &NetworkConfig::new(0.25, 0, 0, 1).unwrap()
+        );
         assert_eq!(derived.config(), base.config());
         let analytic = ScenarioSpec::builder(ProcessKind::Broadcast, 16, 6)
             .radius(1)
             .build()
             .unwrap();
         assert!(matches!(
-            analytic.with_network(lossy).unwrap_err(),
-            SimError::UnsupportedSetting { .. }
+            analytic
+                .with("drop_prob", KeyValue::Float(0.25))
+                .unwrap_err(),
+            SpecError::Sim(SimError::UnsupportedSetting { .. })
         ));
     }
 
@@ -1508,7 +1531,9 @@ mod tests {
             assert!(!text.contains(key), "ideal spec rendered {key}:\n{text}");
         }
         let lossy = ideal
-            .with_network(NetworkConfig::new(0.25, 2, 3, 4).unwrap())
+            .to_builder()
+            .network(NetworkConfig::new(0.25, 2, 3, 4).unwrap())
+            .build()
             .unwrap();
         let text = lossy.to_toml();
         assert!(text.contains("drop_prob = 0.25\n"), "{text}");
@@ -1540,11 +1565,14 @@ mod tests {
         }
         let faulty = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 16, 6)
             .radius(1)
-            .crash_prob(0.05)
-            .restart_delay(3)
-            .partition(10, 5)
-            .retransmit(true)
-            .anti_entropy_interval(4)
+            .faults(FaultConfig {
+                crash_prob: 0.05,
+                restart_delay: 3,
+                partition_start: 10,
+                partition_len: 5,
+                retransmit: true,
+                anti_entropy_interval: 4,
+            })
             .build()
             .unwrap();
         let text = faulty.to_toml();
@@ -1569,7 +1597,10 @@ mod tests {
             assert!(
                 matches!(
                     ScenarioSpec::builder(kind, 12, 6)
-                        .crash_prob(0.1)
+                        .faults(FaultConfig {
+                            crash_prob: 0.1,
+                            ..FaultConfig::DEFAULT
+                        })
                         .build()
                         .unwrap_err(),
                     SimError::UnsupportedSetting { .. }
@@ -1579,7 +1610,10 @@ mod tests {
             assert!(
                 matches!(
                     ScenarioSpec::builder(kind, 12, 6)
-                        .retransmit(true)
+                        .faults(FaultConfig {
+                            retransmit: true,
+                            ..FaultConfig::DEFAULT
+                        })
                         .build()
                         .unwrap_err(),
                     SimError::UnsupportedSetting { .. }
@@ -1591,7 +1625,10 @@ mod tests {
         // on the twin itself.
         assert_eq!(
             ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 12, 6)
-                .crash_prob(1.5)
+                .faults(FaultConfig {
+                    crash_prob: 1.5,
+                    ..FaultConfig::DEFAULT
+                })
                 .build()
                 .unwrap_err(),
             SimError::InvalidFaultSetting {
@@ -1601,7 +1638,10 @@ mod tests {
         );
         assert_eq!(
             ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 12, 6)
-                .restart_delay(0)
+                .faults(FaultConfig {
+                    restart_delay: 0,
+                    ..FaultConfig::DEFAULT
+                })
                 .build()
                 .unwrap_err(),
             SimError::InvalidFaultSetting {
@@ -1612,7 +1652,7 @@ mod tests {
     }
 
     #[test]
-    fn faulty_twin_runs_and_with_faults_rederives() {
+    fn faulty_twin_runs_and_with_rederives() {
         let base = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 12, 6)
             .radius(2)
             .build()
@@ -1623,14 +1663,20 @@ mod tests {
             anti_entropy_interval: 2,
             ..FaultConfig::DEFAULT
         };
-        let faulty = base.with_faults(faults).unwrap();
+        let faulty = base
+            .with("crash_prob", KeyValue::Float(0.02))
+            .and_then(|s| s.with("retransmit", KeyValue::Bool(true)))
+            .and_then(|s| s.with("anti_entropy_interval", KeyValue::Int(2)))
+            .unwrap();
         assert_eq!(faulty.faults(), &faults);
         assert_eq!(faulty.config(), base.config());
         let a = faulty.run_seed(5);
         assert_eq!(a, faulty.run_seed(5), "faulty runs must reproduce");
         // A trivial fault config leaves the metric untouched.
         assert_eq!(
-            base.with_faults(FaultConfig::DEFAULT).unwrap().run_seed(5),
+            base.with("crash_prob", KeyValue::Float(0.0))
+                .unwrap()
+                .run_seed(5),
             base.run_seed(5)
         );
         // Non-twin kinds reject the axis at re-derivation.
@@ -1638,8 +1684,10 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            analytic.with_faults(faults).unwrap_err(),
-            SimError::UnsupportedSetting { .. }
+            analytic
+                .with("crash_prob", KeyValue::Float(0.02))
+                .unwrap_err(),
+            SpecError::Sim(SimError::UnsupportedSetting { .. })
         ));
     }
 
@@ -1683,44 +1731,56 @@ mod tests {
     fn toml_round_trip_preserves_every_world_key() {
         // Each world axis alone, then all eight keys at once: the
         // emitted TOML must parse back to the identical spec.
+        let world = |w: WorldConfig| {
+            ScenarioSpec::builder(ProcessKind::Broadcast, 32, 16)
+                .world(w)
+                .build()
+                .unwrap()
+        };
+        let d = WorldConfig::DEFAULT;
         let specs = [
-            ScenarioSpec::builder(ProcessKind::Broadcast, 32, 16)
-                .barrier_density(0.25)
-                .build()
-                .unwrap(),
-            ScenarioSpec::builder(ProcessKind::Broadcast, 32, 16)
-                .churn_rate(0.05)
-                .build()
-                .unwrap(),
-            ScenarioSpec::builder(ProcessKind::Broadcast, 32, 16)
-                .hetero_fraction(0.5)
-                .hetero_factor(2.0)
-                .build()
-                .unwrap(),
-            ScenarioSpec::builder(ProcessKind::Broadcast, 32, 16)
-                .speed_fraction(0.25)
-                .speed_factor(3)
-                .build()
-                .unwrap(),
-            ScenarioSpec::builder(ProcessKind::Broadcast, 32, 16)
-                .num_sources(4)
-                .adversarial_sources(true)
-                .build()
-                .unwrap(),
+            world(WorldConfig {
+                barrier_density: 0.25,
+                ..d
+            }),
+            world(WorldConfig {
+                churn_rate: 0.05,
+                ..d
+            }),
+            world(WorldConfig {
+                hetero_fraction: 0.5,
+                hetero_factor: 2.0,
+                ..d
+            }),
+            world(WorldConfig {
+                speed_fraction: 0.25,
+                speed_factor: 3,
+                ..d
+            }),
+            world(WorldConfig {
+                num_sources: 4,
+                adversarial_sources: true,
+                ..d
+            }),
             ScenarioSpec::builder(ProcessKind::Broadcast, 32, 16)
                 .radius(2)
-                .barrier_density(0.1)
-                .churn_rate(0.02)
-                .hetero_fraction(0.5)
-                .hetero_factor(1.5)
-                .speed_fraction(0.3)
-                .speed_factor(2)
-                .num_sources(2)
-                .adversarial_sources(true)
+                .world(WorldConfig {
+                    barrier_density: 0.1,
+                    churn_rate: 0.02,
+                    hetero_fraction: 0.5,
+                    hetero_factor: 1.5,
+                    speed_fraction: 0.3,
+                    speed_factor: 2,
+                    num_sources: 2,
+                    adversarial_sources: true,
+                })
                 .build()
                 .unwrap(),
             ScenarioSpec::builder(ProcessKind::Infection, 20, 5)
-                .num_sources(3)
+                .world(WorldConfig {
+                    num_sources: 3,
+                    ..d
+                })
                 .build()
                 .unwrap(),
         ];
@@ -1810,6 +1870,89 @@ mod tests {
             .build()
             .unwrap();
         assert_ne!(a.content_hash(), d.content_hash(), "metric is content");
+    }
+
+    #[test]
+    fn key_table_drives_get_and_set() {
+        let spec = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 16, 6)
+            .max_steps(99)
+            .build()
+            .unwrap()
+            .to_builder();
+        let mut names = Vec::new();
+        for key in &SCENARIO_KEYS {
+            assert!(!names.contains(&key.name), "{} listed twice", key.name);
+            names.push(key.name);
+            assert_eq!(scenario_key(key.name), Some(key));
+            // Every key reads back, and writing back what it read is
+            // the identity.
+            let value = spec.get(key.name).expect(key.name);
+            let again = spec.set(key.name, value).unwrap();
+            assert_eq!(again.build(), spec.build(), "{}", key.name);
+        }
+        let sweepable: Vec<(&str, &str)> = SCENARIO_KEYS
+            .iter()
+            .filter_map(|k| Some((k.name, k.sweep_name?)))
+            .collect();
+        assert_eq!(
+            sweepable,
+            [
+                ("drop_prob", "drop_probs"),
+                ("send_cap", "send_caps"),
+                ("gossip_interval", "gossip_intervals"),
+                ("barrier_density", "barrier_densities"),
+                ("churn_rate", "churn_rates"),
+                ("hetero_fraction", "radius_mixes"),
+                ("crash_prob", "crash_probs"),
+                ("partition_len", "partition_lens"),
+            ]
+        );
+        assert_eq!(spec.get("typo"), None);
+    }
+
+    #[test]
+    fn set_checks_types_and_group_ranges_but_not_kinds() {
+        let b = ScenarioSpec::builder(ProcessKind::Broadcast, 16, 6);
+        let bad_value = |e: SpecError| matches!(e, SpecError::Toml(TomlError::BadValue { .. }));
+        assert!(bad_value(
+            b.set("churn_rate", KeyValue::Int(1)).unwrap_err()
+        ));
+        assert!(bad_value(
+            b.set("send_cap", KeyValue::Int(u64::from(u32::MAX) + 1))
+                .unwrap_err()
+        ));
+        assert!(bad_value(
+            b.set("drop_prob", KeyValue::Float(1.5)).unwrap_err()
+        ));
+        assert!(matches!(
+            b.set("typo", KeyValue::Int(1)).unwrap_err(),
+            SpecError::UnknownKey { .. }
+        ));
+        assert!(matches!(
+            b.set("mobility", KeyValue::Name("jets")).unwrap_err(),
+            SpecError::UnknownName { .. }
+        ));
+        assert!(matches!(
+            b.set("churn_rate", KeyValue::Float(1.5)).unwrap_err(),
+            SpecError::Sim(SimError::InvalidWorldSetting { .. })
+        ));
+        assert!(matches!(
+            b.set("crash_prob", KeyValue::Float(-0.1)).unwrap_err(),
+            SpecError::Sim(SimError::InvalidFaultSetting { .. })
+        ));
+        // In range but unsupported by the kind: `set` accepts it and
+        // `build` rejects it.
+        let lossy = b.set("drop_prob", KeyValue::Float(0.5)).unwrap();
+        assert!(matches!(
+            lossy.build().unwrap_err(),
+            SimError::UnsupportedSetting { .. }
+        ));
+        assert_eq!(
+            b.set("partition_len", KeyValue::Int(5_000_000_000))
+                .unwrap()
+                .get("partition_len"),
+            Some(KeyValue::Int(5_000_000_000))
+        );
     }
 
     #[test]

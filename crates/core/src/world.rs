@@ -35,14 +35,17 @@
 //! # Examples
 //!
 //! ```
-//! use sparsegossip_core::{ProcessKind, ScenarioSpec, WorldSim};
+//! use sparsegossip_core::{ProcessKind, ScenarioSpec, WorldConfig, WorldSim};
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
 //!
 //! let spec = ScenarioSpec::builder(ProcessKind::Broadcast, 16, 8)
 //!     .radius(1)
-//!     .barrier_density(0.5)
-//!     .churn_rate(0.02)
+//!     .world(WorldConfig {
+//!         barrier_density: 0.5,
+//!         churn_rate: 0.02,
+//!         ..WorldConfig::DEFAULT
+//!     })
 //!     .build()?;
 //! let mut rng = SmallRng::seed_from_u64(7);
 //! let mut sim = WorldSim::from_spec(&spec, &mut rng)?;

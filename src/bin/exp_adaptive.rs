@@ -26,47 +26,17 @@
 //! arguments; seed via `SG_SEED`, threads via `SG_THREADS`, like every
 //! other `exp_*` binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::process::ExitCode;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{AdaptiveConfig, ResultStore, ScenarioSweep};
-use sparsegossip_bench::{verdict, ExpCtx};
+use sparsegossip_bench::{thread_allocs, verdict, ExpCtx, ThreadCountingAlloc};
 use sparsegossip_core::{NullObserver, ProcessKind, ScenarioSpec, WorldSim};
 
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts this thread's heap allocations, so the steady-state gate
-/// can assert a warmed-up sweep step never touches the heap.
-struct ThreadCountingAlloc;
-
-unsafe impl GlobalAlloc for ThreadCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: ThreadCountingAlloc = ThreadCountingAlloc;
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
+static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
 
 /// Steps a warmed-up simulation of `spec` and returns the allocations
 /// per 100 steps observed in steady state (must be zero).

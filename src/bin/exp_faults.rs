@@ -33,49 +33,19 @@
 //! Scale via `SG_SCALE` (`quick`/`full`) or `--quick`/`--full`; seed
 //! via `SG_SEED`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::process::ExitCode;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_bench::{verdict, ExpCtx};
+use sparsegossip_bench::{thread_allocs, verdict, ExpCtx, ThreadCountingAlloc};
 use sparsegossip_core::{
     FaultConfig, NetworkConfig, ProtocolBroadcast, ProtocolOutcome, SimConfig, Simulation,
 };
 use sparsegossip_grid::{Grid, Point};
 use sparsegossip_protocol::{FaultPlan, NodeRuntime, PartitionSchedule, RecoveryConfig};
 
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts this thread's heap allocations, so the steady-state gate can
-/// assert a warmed-up faulty tick never touches the heap.
-struct ThreadCountingAlloc;
-
-unsafe impl GlobalAlloc for ThreadCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: ThreadCountingAlloc = ThreadCountingAlloc;
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
+static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
 
 /// One twin run with the given network, fault axes and worker count.
 #[allow(clippy::too_many_arguments)]

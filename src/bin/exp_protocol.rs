@@ -32,7 +32,7 @@ use rand::SeedableRng;
 use sparsegossip_analysis::ScenarioSweep;
 use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{
-    NetworkConfig, ProcessKind, ProtocolBroadcast, ScenarioSpec, SimConfig, Simulation,
+    KeyValue, NetworkConfig, ProcessKind, ProtocolBroadcast, ScenarioSpec, SimConfig, Simulation,
 };
 use sparsegossip_grid::Grid;
 
@@ -193,7 +193,8 @@ fn main() -> ExitCode {
         .expect("valid lossy base spec");
     let lossy = ScenarioSweep::new(lossy_base, ctx.seed)
         .r_factors(vec![1.0, 2.0])
-        .drop_probs(vec![0.0, 0.25, 0.5])
+        .axis("drop_prob", [0.0, 0.25, 0.5].map(KeyValue::Float).to_vec())
+        .expect("valid drop axis")
         .replicates(ctx.pick(4, 8))
         .threads(ctx.threads)
         .run()

@@ -25,96 +25,88 @@
 //! Scale via `SG_SCALE` (`quick`/`full`) or `--quick`/`--full`; seed
 //! via `SG_SEED`, threads via `SG_THREADS`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::process::ExitCode;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{ScenarioSweep, ScenarioSweepReport};
-use sparsegossip_bench::{verdict, ExpCtx};
-use sparsegossip_core::{NullObserver, ProcessKind, ScenarioSpec, WorldSim};
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts this thread's heap allocations, so the steady-state gate
-/// can assert a warmed-up world step never touches the heap.
-struct ThreadCountingAlloc;
-
-unsafe impl GlobalAlloc for ThreadCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use sparsegossip_bench::{thread_allocs, verdict, ExpCtx, ThreadCountingAlloc};
+use sparsegossip_core::{KeyValue, NullObserver, ProcessKind, ScenarioSpec, WorldConfig, WorldSim};
 
 #[global_allocator]
-static COUNTER: ThreadCountingAlloc = ThreadCountingAlloc;
+static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
 
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
+/// Float axis values, as `ScenarioSweep::axis` takes them.
+fn floats(values: Vec<f64>) -> Vec<KeyValue> {
+    values.into_iter().map(KeyValue::Float).collect()
 }
 
 /// One non-trivial world per axis, exercised by the allocation and
 /// determinism gates.
 fn axis_worlds(side: u32, k: usize) -> Vec<(&'static str, ScenarioSpec)> {
-    let base = || ScenarioSpec::builder(ProcessKind::Broadcast, side, k).radius(2);
-    vec![
+    let d = WorldConfig::DEFAULT;
+    let worlds = [
         (
             "barriers",
-            base().barrier_density(0.3).build().expect("valid spec"),
+            WorldConfig {
+                barrier_density: 0.3,
+                ..d
+            },
         ),
         (
             "churn",
-            base().churn_rate(0.05).build().expect("valid spec"),
+            WorldConfig {
+                churn_rate: 0.05,
+                ..d
+            },
         ),
         (
             "hetero_radii",
-            base()
-                .hetero_fraction(0.5)
-                .hetero_factor(2.0)
-                .build()
-                .expect("valid spec"),
+            WorldConfig {
+                hetero_fraction: 0.5,
+                hetero_factor: 2.0,
+                ..d
+            },
         ),
         (
             "speed_classes",
-            base()
-                .speed_fraction(0.5)
-                .speed_factor(3)
-                .build()
-                .expect("valid spec"),
+            WorldConfig {
+                speed_fraction: 0.5,
+                speed_factor: 3,
+                ..d
+            },
         ),
         (
             "adversarial_sources",
-            base()
-                .num_sources(3)
-                .adversarial_sources(true)
-                .build()
-                .expect("valid spec"),
+            WorldConfig {
+                num_sources: 3,
+                adversarial_sources: true,
+                ..d
+            },
         ),
         (
             "combined",
-            base()
-                .barrier_density(0.2)
-                .churn_rate(0.02)
-                .hetero_fraction(0.25)
-                .hetero_factor(2.0)
-                .build()
-                .expect("valid spec"),
+            WorldConfig {
+                barrier_density: 0.2,
+                churn_rate: 0.02,
+                hetero_fraction: 0.25,
+                hetero_factor: 2.0,
+                ..d
+            },
         ),
-    ]
+    ];
+    worlds
+        .into_iter()
+        .map(|(name, world)| {
+            let spec = ScenarioSpec::builder(ProcessKind::Broadcast, side, k)
+                .radius(2)
+                .world(world)
+                .build()
+                .expect("valid spec");
+            (name, spec)
+        })
+        .collect()
 }
 
 /// Steps a warmed-up world and returns the allocations per step
@@ -215,25 +207,40 @@ fn main() -> ExitCode {
             "barrier_density",
             ScenarioSweep::new(mini, ctx.seed)
                 .r_factors(r_factors.clone())
-                .barrier_densities(ctx.pick(vec![0.0, 0.2, 0.4], vec![0.0, 0.1, 0.2, 0.3, 0.4])),
+                .axis(
+                    "barrier_density",
+                    floats(ctx.pick(vec![0.0, 0.2, 0.4], vec![0.0, 0.1, 0.2, 0.3, 0.4])),
+                )
+                .expect("valid axis"),
         ),
         (
             "churn_rate",
             ScenarioSweep::new(mini, ctx.seed)
                 .r_factors(r_factors.clone())
-                .churn_rates(ctx.pick(vec![0.0, 0.02, 0.1], vec![0.0, 0.01, 0.02, 0.05, 0.1])),
+                .axis(
+                    "churn_rate",
+                    floats(ctx.pick(vec![0.0, 0.02, 0.1], vec![0.0, 0.01, 0.02, 0.05, 0.1])),
+                )
+                .expect("valid axis"),
         ),
         (
             "radius_mix",
             ScenarioSweep::new(
                 ScenarioSpec::builder(ProcessKind::Broadcast, mini_side, mini_k)
-                    .hetero_factor(2.0)
+                    .world(WorldConfig {
+                        hetero_factor: 2.0,
+                        ..WorldConfig::DEFAULT
+                    })
                     .build()
                     .expect("valid mix spec"),
                 ctx.seed,
             )
             .r_factors(r_factors.clone())
-            .radius_mixes(ctx.pick(vec![0.0, 0.5], vec![0.0, 0.25, 0.5, 0.75])),
+            .axis(
+                "hetero_fraction",
+                floats(ctx.pick(vec![0.0, 0.5], vec![0.0, 0.25, 0.5, 0.75])),
+            )
+            .expect("valid axis"),
         ),
     ];
     let mut axis_reports: Vec<(&str, ScenarioSweepReport)> = Vec::new();
@@ -266,7 +273,8 @@ fn main() -> ExitCode {
     let det_sweep = |threads: usize| {
         ScenarioSweep::new(mini, ctx.seed)
             .r_factors(vec![0.5, 2.0])
-            .churn_rates(vec![0.0, 0.05])
+            .axis("churn_rate", floats(vec![0.0, 0.05]))
+            .expect("valid axis")
             .replicates(2)
             .threads(threads)
             .run()

@@ -7,45 +7,16 @@
 //! does not pollute the counts).
 
 use core::ops::ControlFlow;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip::core::SimScratch;
 use sparsegossip::grid::Point;
 use sparsegossip::prelude::*;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts this thread's heap allocations; `try_with` so allocations
-/// during thread teardown (after TLS destruction) stay safe.
-struct ThreadCountingAlloc;
-
-unsafe impl GlobalAlloc for ThreadCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use sparsegossip_bench::{thread_allocs, ThreadCountingAlloc};
 
 #[global_allocator]
-static COUNTER: ThreadCountingAlloc = ThreadCountingAlloc;
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
+static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
 
 /// A do-nothing observer that still demands the full visibility
 /// partition, forcing the driver onto the classic rebuild path.
@@ -377,10 +348,13 @@ fn churn_spec(radius: u32) -> ScenarioSpec {
     ScenarioSpec::builder(ProcessKind::Broadcast, 24, 12)
         .radius(radius)
         .max_steps(1_500)
-        .barrier_density(0.2)
-        .churn_rate(0.05)
-        .hetero_fraction(0.5)
-        .hetero_factor(2.0)
+        .world(WorldConfig {
+            barrier_density: 0.2,
+            churn_rate: 0.05,
+            hetero_fraction: 0.5,
+            hetero_factor: 2.0,
+            ..WorldConfig::DEFAULT
+        })
         .build()
         .unwrap()
 }
