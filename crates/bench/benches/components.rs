@@ -8,7 +8,8 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use sparsegossip_conngraph::{
     components, components_brute, components_from_seeds_into, components_from_seeds_on,
-    components_into, ComponentsScratch, SeededScratch, SpatialHash,
+    components_into, components_on_boundary_by, ComponentsScratch, SeededScratch, SpatialHash,
+    SpatialScratch, UniformContact,
 };
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
@@ -75,7 +76,10 @@ fn bench_scratch_reuse(c: &mut Criterion) {
 /// The frontier-sparse connectivity engine, strategy by strategy: a
 /// fresh full build, the scratch-reuse full build, seed-restricted
 /// labelling (a small informed set, as in most of a sparse broadcast's
-/// lifetime), and seeded labelling over an incrementally maintained
+/// lifetime), boundary labelling of the same set (only the components
+/// mixing informed and uninformed agents, scanned from the smaller
+/// side; hash rebuilt per iteration like the seeded case), and seeded
+/// labelling over an incrementally maintained
 /// hash (`apply_moves` with a lazy-walk-sized move log — the per-step
 /// work of the `Simulation` frontier path).
 fn bench_components_seeded(c: &mut Criterion) {
@@ -107,6 +111,20 @@ fn bench_components_seeded(c: &mut Criterion) {
                     &seeds,
                     r,
                     side,
+                ));
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("boundary", k), &k, |b, _| {
+            let mut spatial = SpatialScratch::new();
+            let mut scratch = SeededScratch::new();
+            b.iter(|| {
+                let hash = SpatialHash::build_into(&mut spatial, &pts, r, side);
+                black_box(components_on_boundary_by(
+                    hash,
+                    &mut scratch,
+                    &pts,
+                    &seeds,
+                    &UniformContact(r),
                 ));
             });
         });

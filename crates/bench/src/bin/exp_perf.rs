@@ -10,11 +10,11 @@
 //! * **full** — the classic path: hash rebuild + union–find over all
 //!   `k` agents (forced by an observer that wants the full partition);
 //! * **frontier** — the default `run()` path: for processes with a
-//!   `Seeded` components scope (broadcast, infection, the frog model),
+//!   `Boundary` components scope (broadcast, infection, the frog model),
 //!   the spatial hash is maintained incrementally from the engine's
-//!   move log and only the components containing an informed agent are
-//!   labelled. For `Full`-scope processes (gossip) the two strategies
-//!   coincide.
+//!   move log and only the components holding both an informed and an
+//!   uninformed agent are labelled. For `Full`-scope processes (gossip)
+//!   the two strategies coincide.
 //!
 //! Reported per scenario: **ns/step** and **steps/sec** for both paths
 //! over a timed window of steady-state steps (after a warm-up that
@@ -102,7 +102,7 @@ struct Row {
     steps: u64,
     /// Classic path: full hash rebuild + whole-partition labelling.
     ns_per_step_full: f64,
-    /// Default `run()` path: frontier-sparse for `Seeded`-scope
+    /// Default `run()` path: frontier-sparse for `Boundary`-scope
     /// processes, identical to `ns_per_step_full` machinery otherwise.
     ns_per_step: f64,
     steps_per_sec: f64,

@@ -30,6 +30,11 @@ pub enum ArgError {
     },
     /// A positional argument appeared where options were expected.
     UnexpectedPositional(String),
+    /// An option or flag was given more than once.
+    DuplicateOption {
+        /// Option name.
+        key: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -40,6 +45,7 @@ impl fmt::Display for ArgError {
                 write!(f, "option --{key} has invalid value {value:?}")
             }
             Self::UnexpectedPositional(a) => write!(f, "unexpected argument {a:?}"),
+            Self::DuplicateOption { key } => write!(f, "option --{key} given more than once"),
         }
     }
 }
@@ -56,7 +62,9 @@ impl ParsedArgs {
     /// # Errors
     ///
     /// Returns [`ArgError::MissingCommand`] if no subcommand was given
-    /// and [`ArgError::UnexpectedPositional`] on stray positionals.
+    /// and [`ArgError::UnexpectedPositional`] on stray positionals, and
+    /// [`ArgError::DuplicateOption`] if an option or flag repeats (a
+    /// later copy must not silently replace an earlier one).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
         let mut iter = args.into_iter().peekable();
         let command = iter.next().ok_or(ArgError::MissingCommand)?;
@@ -72,6 +80,11 @@ impl ParsedArgs {
             let Some(key) = tok.strip_prefix("--") else {
                 return Err(ArgError::UnexpectedPositional(tok));
             };
+            if parsed.has_option(key) {
+                return Err(ArgError::DuplicateOption {
+                    key: key.to_string(),
+                });
+            }
             match iter.peek() {
                 Some(v) if !v.starts_with("--") => {
                     let value = iter.next().expect("peeked");
@@ -132,6 +145,24 @@ mod tests {
         assert_eq!(p.get::<usize>("k", 0).unwrap(), 32);
         assert!(p.flag("frog"));
         assert!(!p.flag("one-hop"));
+    }
+
+    #[test]
+    fn repeated_options_and_flags_are_rejected() {
+        for line in [
+            "broadcast --side 64 --k 32 --seed 1 --k 8 --json",
+            "broadcast --frog --side 64 --frog",
+            "broadcast --k 8 --k",
+            "broadcast --json --json 1",
+        ] {
+            let key = match ParsedArgs::parse(to_args(line)) {
+                Err(ArgError::DuplicateOption { key }) => key,
+                other => panic!("{line}: expected DuplicateOption, got {other:?}"),
+            };
+            assert!(line.matches(&format!("--{key}")).count() == 2, "{line}");
+        }
+        let err = ParsedArgs::parse(to_args("gossip --k 1 --k 2")).unwrap_err();
+        assert_eq!(err.to_string(), "option --k given more than once");
     }
 
     #[test]

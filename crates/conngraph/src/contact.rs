@@ -6,7 +6,8 @@
 //! ([`UniformContact`]). Heterogeneous worlds replace the predicate,
 //! not the machinery: the generic `_by` entry points
 //! ([`components_into_by`](crate::components_into_by),
-//! [`components_from_seeds_on_by`](crate::components_from_seeds_on_by))
+//! [`components_from_seeds_on_by`](crate::components_from_seeds_on_by),
+//! [`components_on_boundary_by`](crate::components_on_boundary_by))
 //! accept any [`Contact`] and keep the spatial-hash candidate pruning,
 //! so per-agent radii ([`RadiiContact`]) or wall-aware models cost the
 //! same near-linear scan.

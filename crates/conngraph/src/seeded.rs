@@ -1,34 +1,38 @@
-//! Seed-restricted component labelling: flood-fill `G_t(r)` starting
-//! only from a given seed set, labelling exactly the components that
-//! contain a seed.
+//! Restricted component labelling: flood-fill `G_t(r)` only where a
+//! caller will read it, labelling a subset of the components exactly as
+//! the full build would.
 //!
-//! This is the frontier-sparse half of the connectivity engine. A
-//! broadcast-style process only ever consumes the components containing
-//! an *informed* agent — every other component leaves the informed set
-//! unchanged — so when the informed set is a small fraction of `k`
-//! (most of a sparse broadcast's lifetime, and by construction under
-//! Frog-model mobility), labelling from the seeds costs work
-//! proportional to the informed frontier's neighborhood instead of a
-//! full O(k) partition.
+//! This is the frontier-sparse half of the connectivity engine, with two
+//! covers:
 //!
-//! On the components it covers, the seeded labelling is *identical* to
-//! the full [`components`](crate::components) build: same member lists
-//! in the same order, with dense component ids assigned in first-agent
+//! * **Seeded** ([`components_from_seeds_on`]): every component that
+//!   contains a seed, flood-filled from the seeds.
+//! * **Boundary** ([`components_on_boundary_by`]): every component that
+//!   holds both a set and an unset bit of a set — for a broadcast, the
+//!   components mixing informed and uninformed agents, the only ones an
+//!   exchange can change. Below the percolation point those are rare on
+//!   almost every step (the walks must meet first), and finding them
+//!   costs a candidate scan of the smaller side of the set only.
+//!
+//! On the components it covers, either labelling is *identical* to the
+//! full [`components`](crate::components) build: same member lists in
+//! the same order, with dense component ids assigned in first-agent
 //! order among the covered components (the property tests in
-//! `tests/proptests.rs` pin this against arbitrary layouts, radii and
-//! seed sets). Agents in unseeded components keep the sentinel label
-//! [`Components::NO_LABEL`] and appear in no member list.
+//! `tests/proptests.rs` and `tests/hetero_contact_proptests.rs` pin this
+//! against arbitrary layouts, radii, walls and sets). Agents in uncovered
+//! components keep the sentinel label [`Components::NO_LABEL`] and
+//! appear in no member list.
 
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
 
 use crate::{Components, ComponentsScratch, Contact, SpatialHash, UniformContact};
 
-/// Reusable buffers for seed-restricted labelling: the BFS queue, the
-/// list of touched agents, the label remap table, the counting-sort
+/// Reusable buffers for seeded and boundary labelling: the BFS queue,
+/// the list of touched agents, the label remap table, the counting-sort
 /// cursor and the [`Components`] under construction.
 ///
-/// One scratch amortizes every per-step seeded labelling of a
+/// One scratch amortizes every per-step restricted labelling of a
 /// simulation: after warm-up, a call performs no heap allocation, and
 /// its cost is proportional to the covered components (previously
 /// covered labels are un-set one by one rather than by an O(k) sweep).
@@ -140,90 +144,224 @@ pub fn components_from_seeds_on_by<'a, C: Contact>(
     let k = positions.len();
     assert_eq!(seeds.len(), k, "seed set capacity mismatch");
     assert_eq!(hash.num_agents(), k, "hash agent count mismatch");
-    let comps = &mut scratch.comps;
-    // Reset the sentinel labels, touching only what the previous call
-    // covered.
-    if comps.labels.len() == k {
-        for &m in &comps.members {
-            comps.labels[m as usize] = Components::NO_LABEL;
-        }
-    } else {
-        comps.labels.clear();
-        comps.labels.resize(k, Components::NO_LABEL);
-        // One-time pre-reservation at the new working size: coverage
-        // can only grow toward k, and reserving everything now keeps
-        // every later call allocation-free no matter how the covered
-        // frontier grows between calls.
-        scratch.queue.reserve(k);
-        scratch.touched.reserve(k);
-        scratch.remap.reserve(k);
-        scratch.cursor.reserve(k + 1);
-        comps.sizes.reserve(k);
-        comps.members.reserve(k);
-        comps.offsets.reserve(k + 1);
-    }
-    comps.sizes.clear();
-    comps.members.clear();
-    comps.offsets.clear();
-    scratch.touched.clear();
-
+    scratch.begin(k);
     // Flood fill from the seeds, assigning discovery-order labels.
     // Visit order does not matter: the rebuild below canonicalizes.
     let mut discovered = 0u32;
     for s in seeds.iter_ones() {
-        if comps.labels[s] != Components::NO_LABEL {
-            continue;
+        if scratch.comps.labels[s] == Components::NO_LABEL {
+            scratch.flood(hash, positions, contact, s as u32, discovered);
+            discovered += 1;
         }
-        let tmp = discovered;
-        discovered += 1;
-        comps.labels[s] = tmp;
-        scratch.touched.push(s as u32);
-        scratch.queue.push(s as u32);
-        while let Some(a) = scratch.queue.pop() {
+    }
+    scratch.canonicalize(discovered)
+}
+
+/// Computes exactly the *boundary* components of the contact graph over
+/// an already-built `hash`: the components holding both a set and an
+/// unset bit of `set` (typically the informed agents of a broadcast).
+///
+/// A component is a boundary component iff it contains a contact edge
+/// between a set and an unset agent, and one end of every such edge
+/// lies on the smaller side of `set`. So the labeller iterates only the
+/// smaller of the set and unset bits, scans each not-yet-labelled
+/// agent's hash candidates for a contact of the opposite status, and
+/// flood-fills a component only when one is found — no component that
+/// is entirely set, or entirely unset, is ever flooded. Per-call work
+/// is proportional to the smaller side's neighborhood plus the boundary
+/// components, instead of the whole seeded cover.
+///
+/// The hash requirements and the output contract are those of
+/// [`components_from_seeds_on_by`]: on the covered (here: boundary)
+/// components the result is identical to the full partition under the
+/// same contact model — the same member slices in the same order, with
+/// dense ids in first-agent order among the covered components — and
+/// every other agent keeps [`Components::NO_LABEL`]. `contact` must be
+/// symmetric (the [`Contact`] contract); the scan relies on it.
+///
+/// # Panics
+///
+/// Panics if `set.len() != positions.len()` or if the hash holds a
+/// different number of agents than `positions`.
+///
+/// # Examples
+///
+/// ```
+/// use sparsegossip_conngraph::{components_on_boundary_by, SeededScratch, SpatialHash, UniformContact};
+/// use sparsegossip_grid::Point;
+/// use sparsegossip_walks::BitSet;
+///
+/// // At r = 1: {0, 1} mixes an informed and an uninformed agent, {2, 3}
+/// // is entirely informed and {4} is uninformed.
+/// let pts = [
+///     Point::new(0, 0),
+///     Point::new(0, 1),
+///     Point::new(5, 5),
+///     Point::new(5, 6),
+///     Point::new(9, 9),
+/// ];
+/// let hash = SpatialHash::build(&pts, 1, 10);
+/// let mut informed = BitSet::new(5);
+/// informed.extend([1, 2, 3]);
+/// let mut scratch = SeededScratch::new();
+/// let comps = components_on_boundary_by(&hash, &mut scratch, &pts, &informed, &UniformContact(1));
+/// // Only the mixed component {0, 1} is a boundary component.
+/// assert_eq!(comps.count(), 1);
+/// assert_eq!(comps.members(0), &[0, 1]);
+/// assert!(!comps.is_covered(2) && !comps.is_covered(4));
+/// ```
+// detlint: hot
+pub fn components_on_boundary_by<'a, C: Contact>(
+    hash: &SpatialHash,
+    scratch: &'a mut SeededScratch,
+    positions: &[Point],
+    set: &BitSet,
+    contact: &C,
+) -> &'a Components {
+    let k = positions.len();
+    assert_eq!(set.len(), k, "set capacity mismatch");
+    assert_eq!(hash.num_agents(), k, "hash agent count mismatch");
+    scratch.begin(k);
+    let ones = set.count_ones();
+    let discovered = if ones <= k - ones {
+        scratch.label_boundary(hash, positions, set, contact, set.iter_ones(), true)
+    } else {
+        scratch.label_boundary(hash, positions, set, contact, set.iter_zeros(), false)
+    };
+    scratch.canonicalize(discovered)
+}
+
+// detlint: hot
+impl SeededScratch {
+    /// Readies the scratch for a labelling over `k` agents: resets the
+    /// sentinel labels (touching only what the previous call covered)
+    /// and empties the partition under construction.
+    fn begin(&mut self, k: usize) {
+        let comps = &mut self.comps;
+        if comps.labels.len() == k {
+            for &m in &comps.members {
+                comps.labels[m as usize] = Components::NO_LABEL;
+            }
+        } else {
+            comps.labels.clear();
+            comps.labels.resize(k, Components::NO_LABEL);
+            // One-time pre-reservation at the new working size: coverage
+            // can only grow toward k, and reserving everything now keeps
+            // every later call allocation-free no matter how the covered
+            // frontier grows between calls.
+            self.queue.reserve(k);
+            self.touched.reserve(k);
+            self.remap.reserve(k);
+            self.cursor.reserve(k + 1);
+            comps.sizes.reserve(k);
+            comps.members.reserve(k);
+            comps.offsets.reserve(k + 1);
+        }
+        comps.sizes.clear();
+        comps.members.clear();
+        comps.offsets.clear();
+        self.touched.clear();
+    }
+
+    /// Flood-fills the (unlabelled) component of agent `s`, giving every
+    /// member the discovery-order label `tmp` and recording it in
+    /// `touched`.
+    #[inline]
+    fn flood<C: Contact>(
+        &mut self,
+        hash: &SpatialHash,
+        positions: &[Point],
+        contact: &C,
+        s: u32,
+        tmp: u32,
+    ) {
+        let labels = &mut self.comps.labels;
+        labels[s as usize] = tmp;
+        self.touched.push(s);
+        self.queue.push(s);
+        while let Some(a) = self.queue.pop() {
             let pa = positions[a as usize];
-            for b in hash.candidates(pa) {
-                if comps.labels[b as usize] == Components::NO_LABEL
+            hash.any_candidate(pa, |b| {
+                if labels[b as usize] == Components::NO_LABEL
                     && contact.in_contact(a as usize, b as usize, pa, positions[b as usize])
                 {
-                    comps.labels[b as usize] = tmp;
-                    scratch.touched.push(b);
-                    scratch.queue.push(b);
+                    labels[b as usize] = tmp;
+                    self.touched.push(b);
+                    self.queue.push(b);
                 }
-            }
+                false
+            });
         }
     }
 
-    // Canonicalize: walk the covered agents in increasing agent order,
-    // assigning dense ids at first encounter — exactly the full build's
-    // labelling rule, restricted to the covered components.
-    scratch.touched.sort_unstable();
-    scratch.remap.clear();
-    scratch
-        .remap
-        .resize(discovered as usize, Components::NO_LABEL);
-    for &a in &scratch.touched {
-        let tmp = comps.labels[a as usize] as usize;
-        if scratch.remap[tmp] == Components::NO_LABEL {
-            scratch.remap[tmp] = comps.sizes.len() as u32;
-            comps.sizes.push(0);
+    /// Scans the agents of one side of `set` (`side` yields them, and
+    /// `inside` is their membership) and floods the component of each
+    /// unlabelled one that has a contact on the other side; returns the
+    /// number of components flooded.
+    #[inline]
+    fn label_boundary<C: Contact>(
+        &mut self,
+        hash: &SpatialHash,
+        positions: &[Point],
+        set: &BitSet,
+        contact: &C,
+        side: impl Iterator<Item = usize>,
+        inside: bool,
+    ) -> u32 {
+        let mut discovered = 0u32;
+        for a in side {
+            if self.comps.labels[a] != Components::NO_LABEL {
+                continue;
+            }
+            let pa = positions[a];
+            // An unlabelled agent's contacts are unlabelled too, so the
+            // scan needs no label test.
+            let crosses = hash.any_candidate(pa, |b| {
+                set.contains(b as usize) != inside
+                    && contact.in_contact(a, b as usize, pa, positions[b as usize])
+            });
+            if crosses {
+                self.flood(hash, positions, contact, a as u32, discovered);
+                discovered += 1;
+            }
         }
-        let lab = scratch.remap[tmp];
-        comps.labels[a as usize] = lab;
-        comps.sizes[lab as usize] += 1;
+        discovered
     }
-    comps.offsets.resize(comps.sizes.len() + 1, 0);
-    for c in 0..comps.sizes.len() {
-        comps.offsets[c + 1] = comps.offsets[c] + comps.sizes[c];
+
+    /// Turns the `discovered` flood-filled components into the canonical
+    /// partition: walks the covered agents in increasing agent order,
+    /// assigning dense ids at first encounter — exactly the full build's
+    /// labelling rule, restricted to the covered components — then
+    /// groups the members by id.
+    fn canonicalize(&mut self, discovered: u32) -> &Components {
+        let comps = &mut self.comps;
+        self.touched.sort_unstable();
+        self.remap.clear();
+        self.remap.resize(discovered as usize, Components::NO_LABEL);
+        for &a in &self.touched {
+            let tmp = comps.labels[a as usize] as usize;
+            if self.remap[tmp] == Components::NO_LABEL {
+                self.remap[tmp] = comps.sizes.len() as u32;
+                comps.sizes.push(0);
+            }
+            let lab = self.remap[tmp];
+            comps.labels[a as usize] = lab;
+            comps.sizes[lab as usize] += 1;
+        }
+        comps.offsets.resize(comps.sizes.len() + 1, 0);
+        for c in 0..comps.sizes.len() {
+            comps.offsets[c + 1] = comps.offsets[c] + comps.sizes[c];
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&comps.offsets);
+        comps.members.resize(self.touched.len(), 0);
+        for &a in &self.touched {
+            let lab = comps.labels[a as usize] as usize;
+            comps.members[self.cursor[lab] as usize] = a;
+            self.cursor[lab] += 1;
+        }
+        comps
     }
-    scratch.cursor.clear();
-    scratch.cursor.extend_from_slice(&comps.offsets);
-    comps.members.resize(scratch.touched.len(), 0);
-    for &a in &scratch.touched {
-        let lab = comps.labels[a as usize] as usize;
-        comps.members[scratch.cursor[lab] as usize] = a;
-        scratch.cursor[lab] += 1;
-    }
-    comps
 }
 
 /// Computes the seed-containing components of `G_t(r)` inside

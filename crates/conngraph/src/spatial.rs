@@ -423,7 +423,9 @@ impl SpatialHash {
     /// storage modes.
     ///
     /// This is the shared candidate scan behind one-hop rumor exchange,
-    /// predator–prey catch resolution and seed-restricted labelling.
+    /// predator–prey catch resolution and the twin's adjacency rebuild;
+    /// the seeded and boundary labellers use its internal-iteration twin
+    /// `any_candidate`.
     pub fn candidates(&self, p: Point) -> impl Iterator<Item = u32> + '_ {
         let (bx, by) = self.bucket_of(p);
         let last = self.buckets_per_side - 1;
@@ -434,6 +436,50 @@ impl SpatialHash {
                 .clone()
                 .flat_map(move |x| self.bucket_agents_iter(x, y))
         })
+    }
+
+    /// Calls `f` on the agents [`candidates`](SpatialHash::candidates)
+    /// yields for `p`, in the same order, until `f` returns `true`;
+    /// returns whether it did.
+    ///
+    /// The labellers' inner loop: the storage mode is resolved once per
+    /// call instead of once per bucket, and in grouped mode the three
+    /// buckets of a neighborhood row are one contiguous arena slice.
+    #[inline]
+    pub(crate) fn any_candidate(&self, p: Point, mut f: impl FnMut(u32) -> bool) -> bool {
+        let (bx, by) = self.bucket_of(p);
+        let last = self.buckets_per_side - 1;
+        let (x0, x1) = (
+            bx.saturating_sub(1) as usize,
+            bx.saturating_add(1).min(last) as usize,
+        );
+        let (y0, y1) = (
+            by.saturating_sub(1) as usize,
+            by.saturating_add(1).min(last) as usize,
+        );
+        let width = self.buckets_per_side as usize;
+        for row in (y0..=y1).map(|y| y * width) {
+            if self.linked {
+                for b in row + x0..=row + x1 {
+                    let mut cur = self.head[b];
+                    while cur != NO_AGENT {
+                        if f(cur) {
+                            return true;
+                        }
+                        cur = self.next[cur as usize];
+                    }
+                }
+            } else {
+                let start = self.offsets[row + x0] as usize;
+                let end = self.offsets[row + x1 + 1] as usize;
+                for &a in &self.agents[start..end] {
+                    if f(a) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
     }
 }
 

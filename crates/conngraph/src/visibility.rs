@@ -43,9 +43,11 @@ impl Default for Components {
 }
 
 impl Components {
-    /// The label of agents not covered by a seed-restricted build (see
-    /// [`components_from_seeds`](crate::components_from_seeds)): their
-    /// component was not labelled because it contains no seed.
+    /// The label of agents not covered by a restricted build (see
+    /// [`components_from_seeds`](crate::components_from_seeds) and
+    /// [`components_on_boundary_by`](crate::components_on_boundary_by)):
+    /// their component was not labelled because it contains no seed, or
+    /// is not a boundary component.
     pub const NO_LABEL: u32 = u32::MAX;
 
     /// A shared empty partition over zero agents — the placeholder for

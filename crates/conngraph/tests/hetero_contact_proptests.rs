@@ -2,16 +2,58 @@
 //! spatial-hash candidate filtering (bucket size = max radius, pairs
 //! accepted by the symmetric `min(r_i, r_j)` rule) must agree exactly
 //! with the O(k²) brute-force reference on arbitrary configurations —
-//! including `r = 0` agents — on both the full partition and the
-//! frontier-sparse seeded path over an incrementally maintained hash.
+//! including `r = 0` agents — on the full partition, the seeded path
+//! over an incrementally maintained hash, and the boundary path (with
+//! and without walls).
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
-    components_brute_by, components_from_seeds_on_by, components_into_by, Components,
-    ComponentsScratch, Contact, RadiiContact, SeededScratch, SpatialHash, UniformContact,
+    components_brute_by, components_from_seeds_on_by, components_into_by,
+    components_on_boundary_by, Components, ComponentsScratch, Contact, RadiiContact, SeededScratch,
+    SpatialHash, UniformContact,
 };
-use sparsegossip_grid::Point;
+use sparsegossip_grid::{BarrierGrid, Point};
 use sparsegossip_walks::BitSet;
+
+/// Per-agent radii under the `min` rule, obstructed by city-block walls:
+/// a pair is in contact only if some L-shaped path between them is open
+/// (symmetric, like the world contact model of the simulator).
+struct WalledRadii<'a> {
+    radii: &'a [u32],
+    walls: &'a BarrierGrid,
+}
+
+impl Contact for WalledRadii<'_> {
+    fn in_contact(&self, a: usize, b: usize, pa: Point, pb: Point) -> bool {
+        RadiiContact(self.radii).in_contact(a, b, pa, pb) && self.walls.l_path_open(pa, pb)
+    }
+}
+
+/// Asserts that `boundary` is `full` restricted to the components
+/// holding both a set and an unset bit of `set`, with identical member
+/// slices in first-agent order and the sentinel label everywhere else.
+fn assert_boundary_restriction(boundary: &Components, full: &Components, set: &BitSet) {
+    let is_boundary: Vec<bool> = full
+        .iter()
+        .map(|m| {
+            m.iter().any(|&a| set.contains(a as usize))
+                && m.iter().any(|&a| !set.contains(a as usize))
+        })
+        .collect();
+    let covered: Vec<usize> = (0..full.count()).filter(|&c| is_boundary[c]).collect();
+    prop_assert_eq!(boundary.num_agents(), full.num_agents());
+    prop_assert_eq!(boundary.count(), covered.len());
+    for (bc, &fc) in covered.iter().enumerate() {
+        prop_assert_eq!(boundary.members(bc), full.members(fc));
+    }
+    for i in 0..full.num_agents() {
+        let on = is_boundary[full.label_of(i) as usize];
+        prop_assert_eq!(boundary.is_covered(i), on);
+        if !on {
+            prop_assert_eq!(boundary.label_of(i), Components::NO_LABEL);
+        }
+    }
+}
 
 /// Arbitrary side, agent layout, per-agent radii (zeros included) and
 /// seed mask.
@@ -175,6 +217,80 @@ proptest! {
                     "seed {} component diverged", s
                 );
             }
+        }
+    }
+
+    #[test]
+    fn hetero_boundary_matches_full_on_boundary_components(
+        (positions, radii, side, mask) in arb_hetero_layout(),
+        density_pct in 0u32..101,
+    ) {
+        // Heterogeneous radii, with and without walls, for the set, its
+        // complement, and the empty and full sets.
+        let k = positions.len();
+        let walls = BarrierGrid::city_blocks(side, f64::from(density_pct) / 100.0).unwrap();
+        let hash = SpatialHash::build(&positions, max_radius(&radii), side);
+        let mut scratch = SeededScratch::new();
+        let flipped: Vec<bool> = mask.iter().map(|&on| !on).collect();
+        let sets = [
+            seeds_from_mask(&mask, k),
+            seeds_from_mask(&flipped, k),
+            BitSet::new(k),
+            seeds_from_mask(&vec![true; k], k),
+        ];
+        let radii_only = RadiiContact(&radii);
+        let walled = WalledRadii { radii: &radii, walls: &walls };
+        let full = components_brute_by(&positions, &radii_only, side);
+        for set in &sets {
+            let b = components_on_boundary_by(&hash, &mut scratch, &positions, set, &radii_only);
+            assert_boundary_restriction(b, &full, set);
+        }
+        let full = components_brute_by(&positions, &walled, side);
+        for set in &sets {
+            let b = components_on_boundary_by(&hash, &mut scratch, &positions, set, &walled);
+            assert_boundary_restriction(b, &full, set);
+        }
+    }
+
+    #[test]
+    fn hetero_boundary_survives_incremental_hash_maintenance(
+        (positions, radii, side, mask) in arb_hetero_layout(),
+        walk in proptest::collection::vec(proptest::collection::vec(0u8..10, 0..60), 0..6),
+        density_pct in 0u32..101,
+    ) {
+        // The production path: a walled, heterogeneous world over a hash
+        // maintained move by move, with the set growing by the boundary
+        // components' members each step, as a broadcast floods them.
+        let k = positions.len();
+        let walls = BarrierGrid::city_blocks(side, f64::from(density_pct) / 100.0).unwrap();
+        let contact = WalledRadii { radii: &radii, walls: &walls };
+        let mut set = seeds_from_mask(&mask, k);
+        let mut positions = positions;
+        let mut hash = SpatialHash::build(&positions, max_radius(&radii), side);
+        let mut scratch = SeededScratch::new();
+        let mut moves = Vec::new();
+        for step in &walk {
+            moves.clear();
+            for (i, &dir) in step.iter().enumerate().take(k) {
+                let from = positions[i];
+                let to = match dir {
+                    0 if from.y + 1 < side => Point::new(from.x, from.y + 1),
+                    1 if from.x + 1 < side => Point::new(from.x + 1, from.y),
+                    2 if from.y > 0 => Point::new(from.x, from.y - 1),
+                    3 if from.x > 0 => Point::new(from.x - 1, from.y),
+                    _ => from,
+                };
+                if to != from {
+                    positions[i] = to;
+                    moves.push((i as u32, from, to));
+                }
+            }
+            hash.apply_moves(&moves);
+            let b = components_on_boundary_by(&hash, &mut scratch, &positions, &set, &contact);
+            let full = components_brute_by(&positions, &contact, side);
+            assert_boundary_restriction(b, &full, &set);
+            let flooded: Vec<u32> = b.iter().flatten().copied().collect();
+            set.extend(flooded.iter().map(|&a| a as usize));
         }
     }
 

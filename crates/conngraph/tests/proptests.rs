@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
-    components, components_brute, components_from_seeds, components_into, giant_fraction,
-    Components, ComponentsScratch, IslandStats, SpatialHash,
+    components, components_brute, components_from_seeds, components_into,
+    components_on_boundary_by, giant_fraction, Components, ComponentsScratch, IslandStats,
+    SeededScratch, SpatialHash, UniformContact,
 };
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
@@ -39,6 +40,37 @@ fn arb_layout_with_seeds_and_walk(
             proptest::collection::vec(proptest::collection::vec(0u8..10, k..k + 1), 0..8),
         )
     })
+}
+
+/// Asserts that `boundary` is the full partition restricted to its
+/// boundary components — those holding both a set and an unset bit of
+/// `set` — with identical member slices in first-agent order, and that
+/// every other agent carries the sentinel label.
+fn assert_boundary_restriction(boundary: &Components, full: &Components, set: &BitSet) {
+    let k = full.num_agents();
+    prop_assert_eq!(boundary.num_agents(), k);
+    let is_boundary: Vec<bool> = full
+        .iter()
+        .map(|m| {
+            m.iter().any(|&a| set.contains(a as usize))
+                && m.iter().any(|&a| !set.contains(a as usize))
+        })
+        .collect();
+    let covered: Vec<usize> = (0..full.count()).filter(|&c| is_boundary[c]).collect();
+    prop_assert_eq!(boundary.count(), covered.len());
+    for (bc, &fc) in covered.iter().enumerate() {
+        prop_assert_eq!(boundary.members(bc), full.members(fc));
+        for &m in boundary.members(bc) {
+            prop_assert_eq!(boundary.label_of(m as usize) as usize, bc);
+        }
+    }
+    for i in 0..k {
+        let on = is_boundary[full.label_of(i) as usize];
+        prop_assert_eq!(boundary.is_covered(i), on);
+        if !on {
+            prop_assert_eq!(boundary.label_of(i), Components::NO_LABEL);
+        }
+    }
 }
 
 fn seeds_from_mask(mask: &[bool], k: usize) -> BitSet {
@@ -181,6 +213,33 @@ proptest! {
             if !in_seeded {
                 prop_assert_eq!(seeded.label_of(i), Components::NO_LABEL);
             }
+        }
+    }
+
+    #[test]
+    fn boundary_labelling_matches_full_on_boundary_components(
+        (positions, r, side, mask, _walk) in arb_layout_with_seeds_and_walk(),
+    ) {
+        // The arbitrary set, its complement (the other side is now the
+        // smaller one), and the empty and full sets, through one reused
+        // scratch.
+        let k = positions.len();
+        let full = components(&positions, r, side);
+        let hash = SpatialHash::build(&positions, r, side);
+        let mut scratch = SeededScratch::new();
+        let set = seeds_from_mask(&mask, k);
+        let flipped: Vec<bool> = mask.iter().map(|&on| !on).collect();
+        let all = vec![true; k];
+        for set in [
+            set,
+            seeds_from_mask(&flipped, k),
+            BitSet::new(k),
+            seeds_from_mask(&all, k),
+        ] {
+            let boundary = components_on_boundary_by(
+                &hash, &mut scratch, &positions, &set, &UniformContact(r),
+            );
+            assert_boundary_restriction(boundary, &full, &set);
         }
     }
 

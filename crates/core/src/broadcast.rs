@@ -275,16 +275,20 @@ impl Process for Broadcast {
         }
     }
 
-    /// Only components containing an informed agent can change the
-    /// informed set (a component without one floods nothing), so the
-    /// driver may label from the informed frontier only. This covers
+    /// Only boundary components — holding both an informed and an
+    /// uninformed agent — can change the informed set (a component
+    /// without an informed agent floods nothing, and a fully informed
+    /// one has no one left to inform), so the driver may label just
+    /// those, scanning from the smaller side of the informed set.
+    /// The component exchange yields the same informed set from them
+    /// as from the full partition. This covers
     /// the Frog configuration too — [`Mobility::InformedOnly`] is the
     /// same process with a mask. The one-hop ablation rule never reads
     /// components at all (its exchange scans positions through its own
     /// hash), so it lets the driver skip labelling outright.
     fn components_scope(&self) -> crate::ComponentsScope<'_> {
         match self.exchange_rule {
-            ExchangeRule::Component => crate::ComponentsScope::Seeded(&self.informed),
+            ExchangeRule::Component => crate::ComponentsScope::Boundary(&self.informed),
             ExchangeRule::OneHop => crate::ComponentsScope::None,
         }
     }

@@ -135,7 +135,7 @@ impl Process for Infection {
     }
 
     /// Infection is broadcast plus bookkeeping over the informed set,
-    /// so the same frontier scope applies (the per-agent time recorder
+    /// so the same boundary scope applies (the per-agent time recorder
     /// reads only the informed bits, never the components).
     fn components_scope(&self) -> crate::ComponentsScope<'_> {
         self.inner.components_scope()

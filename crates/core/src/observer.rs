@@ -21,9 +21,10 @@ pub struct StepContext<'a> {
     /// The full partition, unless the observer declared that it does
     /// not need one ([`Observer::wants_full_components`] is `false`)
     /// *and* the process runs under a
-    /// [`Seeded`](crate::ComponentsScope::Seeded) scope — then only the
-    /// seed-containing components are labelled (identically to the full
-    /// build on those components).
+    /// [`Boundary`](crate::ComponentsScope::Boundary) scope — then only
+    /// the boundary components, holding both an informed and an
+    /// uninformed agent before the exchange, are labelled (identically
+    /// to the full build on those components).
     pub components: &'a Components,
     /// Informed-agent set after the exchange (empty for processes
     /// without a single-rumor informed notion, e.g. gossip).
@@ -48,10 +49,10 @@ pub trait Observer {
     /// partition, exactly as before the frontier-sparse engine existed.
     /// Observers that never look at the components (notably
     /// [`NullObserver`], i.e. every plain `run`) return `false`, which
-    /// lets the driver use seed-restricted labelling for processes that
-    /// declare a [`Seeded`](crate::ComponentsScope::Seeded) scope —
+    /// lets the driver use boundary labelling for processes that
+    /// declare a [`Boundary`](crate::ComponentsScope::Boundary) scope —
     /// outcome-identical, but with per-step cost proportional to the
-    /// informed frontier instead of `k`.
+    /// smaller side of the informed set instead of `k`.
     #[inline]
     fn wants_full_components(&self) -> bool {
         true

@@ -32,7 +32,7 @@ use core::ops::ControlFlow;
 
 use rand::RngExt;
 use sparsegossip_conngraph::{
-    components, components_brute_by, components_from_seeds_on_by, components_into_by, Components,
+    components, components_brute_by, components_into_by, components_on_boundary_by, Components,
     ComponentsScratch, SeededScratch, SpatialHash,
 };
 use sparsegossip_grid::{BarrierGrid, Point, Topology};
@@ -75,7 +75,7 @@ pub struct SimScratch {
     /// Full-partition labelling buffers (spatial hash, union–find,
     /// grouped components).
     comps: ComponentsScratch,
-    /// Seed-restricted labelling buffers (the frontier-sparse path).
+    /// Boundary labelling buffers (the frontier-sparse path).
     /// Deliberately separate from `comps` (whose internals are private
     /// to `conngraph`): the full and frontier paths warm disjoint
     /// buffers, which the scratch-reuse allocation tests rely on.
@@ -105,13 +105,15 @@ impl SimScratch {
 ///
 /// Declaring anything but `Full` is a promise: the exchange (and
 /// [`on_placement`](Process::on_placement)) outcome must depend only on
-/// the components of `G_t(r)` that contain a set bit of the `Seeded`
-/// seed set — or on no components at all for `None`. For
-/// broadcast-style processes the `Seeded` promise holds by
-/// construction — a component without an informed agent cannot change
-/// the informed set — so [`Broadcast`](crate::Broadcast) and
+/// the *boundary* components of `G_t(r)` — those holding both a set and
+/// an unset bit of the `Boundary` set — or on no components at all for
+/// `None`. For broadcast-style processes the `Boundary` promise holds
+/// by construction: a component without an informed agent floods
+/// nothing, and a component whose agents are all informed has no one
+/// left to inform, so only the mixed components can change the
+/// informed set. [`Broadcast`](crate::Broadcast) and
 /// [`Infection`](crate::Infection) (and therefore the Frog
-/// configuration) declare `Seeded(informed)` under the component
+/// configuration) declare `Boundary(informed)` under the component
 /// exchange rule and `None` under the one-hop ablation rule (whose
 /// exchange scans the positions directly); [`Gossip`](crate::Gossip)
 /// (every rumor set matters), [`Coverage`](crate::Coverage) and
@@ -125,9 +127,12 @@ impl SimScratch {
 pub enum ComponentsScope<'a> {
     /// The exchange consumes the entire partition.
     Full,
-    /// The exchange only reads components containing a set bit of the
-    /// given seed set (typically the informed agents).
-    Seeded(&'a BitSet),
+    /// The exchange only reads the components holding both a set and
+    /// an unset bit of the given set (typically the informed agents);
+    /// the driver labels exactly those with
+    /// [`components_on_boundary_by`], scanning from the smaller side of
+    /// the set.
+    Boundary(&'a BitSet),
     /// The exchange reads no components at all in its current
     /// configuration (e.g. the one-hop rule); the driver may skip
     /// labelling entirely and hand out [`Components::EMPTY`].
@@ -152,9 +157,10 @@ pub struct ExchangeCtx<'a> {
     pub positions: &'a [Point],
     /// Connected components of `G_t(r)` at these positions. Empty when
     /// the process opts out via [`Process::NEEDS_COMPONENTS`] or
-    /// declares [`ComponentsScope::None`]; restricted to the
-    /// seed-containing components under an active
-    /// [`ComponentsScope::Seeded`] scope.
+    /// declares [`ComponentsScope::None`]; restricted to the boundary
+    /// components (those holding both a set and an unset bit of the
+    /// scope's set, identical to the full build on them) under an
+    /// active [`ComponentsScope::Boundary`] scope.
     pub components: &'a Components,
 }
 
@@ -247,11 +253,11 @@ pub trait Process {
     /// How much of the visibility partition
     /// [`exchange`](Process::exchange) consumes (see
     /// [`ComponentsScope`]). Defaults to [`ComponentsScope::Full`] —
-    /// always correct. Processes whose exchange provably ignores
-    /// components without a seed declare
-    /// [`Seeded`](ComponentsScope::Seeded) and get frontier-
-    /// proportional per-step labelling whenever the observer does not
-    /// demand the full partition
+    /// always correct. Processes whose exchange provably reads only the
+    /// components mixing set and unset agents declare
+    /// [`Boundary`](ComponentsScope::Boundary) and get per-step
+    /// labelling proportional to the smaller side of the set whenever
+    /// the observer does not demand the full partition
     /// ([`Observer::wants_full_components`]).
     fn components_scope(&self) -> ComponentsScope<'_> {
         ComponentsScope::Full
@@ -601,8 +607,8 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// Runs the paper's step-0 exchange on `G_0(r)` — the placement
     /// already forms a visibility graph — and records completion.
     ///
-    /// Processes with a [`Seeded`](ComponentsScope::Seeded) scope get
-    /// seed-restricted labelling here too (the freshly built hash then
+    /// Processes with a [`Boundary`](ComponentsScope::Boundary) scope get
+    /// boundary labelling here too (the freshly built hash then
     /// seeds the incremental maintenance of subsequent steps), and a
     /// [`None`](ComponentsScope::None) scope skips labelling outright.
     fn placement_exchange(&mut self) {
@@ -617,18 +623,18 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         } else {
             match self.process.components_scope() {
                 ComponentsScope::None => Components::EMPTY,
-                ComponentsScope::Seeded(seeds) => {
+                ComponentsScope::Boundary(set) => {
                     self.scratch.hash.rebuild(
                         self.engine.positions(),
                         self.world.bucket_radius,
                         side,
                     );
                     self.scratch.hash_live = true;
-                    components_from_seeds_on_by(
+                    components_on_boundary_by(
                         &self.scratch.hash,
                         &mut self.scratch.seeded,
                         self.engine.positions(),
-                        seeds,
+                        set,
                         &contact,
                     )
                 }
@@ -791,14 +797,15 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// [`ControlFlow::Break`] once the process completes.
     ///
     /// The labelling strategy is picked from the process's
-    /// [`ComponentsScope`]: under a [`Seeded`](ComponentsScope::Seeded)
+    /// [`ComponentsScope`]: under a [`Boundary`](ComponentsScope::Boundary)
     /// scope — and an observer content without the full partition
     /// ([`Observer::wants_full_components`]) — the engine reports its
     /// move log, the spatial hash is maintained incrementally
     /// ([`SpatialHash::apply_moves`]) instead of rebuilt, and only the
-    /// components containing a seed are labelled. Outcomes are
+    /// boundary components are labelled, scanning from the smaller side
+    /// of the scope's set ([`components_on_boundary_by`]). Outcomes are
     /// draw-for-draw identical either way; per-step cost scales with
-    /// the moved set and the informed frontier instead of `k`.
+    /// the moved set and the smaller side instead of `k`.
     ///
     /// # Examples
     ///
@@ -840,8 +847,11 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         // The observer gate: a scope below Full applies only when the
         // observer does not demand the complete partition.
         let scope_sparse = P::NEEDS_COMPONENTS && !observer.wants_full_components();
-        let frontier_sparse =
-            scope_sparse && matches!(self.process.components_scope(), ComponentsScope::Seeded(_));
+        let frontier_sparse = scope_sparse
+            && matches!(
+                self.process.components_scope(),
+                ComponentsScope::Boundary(_)
+            );
         let skip_components =
             scope_sparse && matches!(self.process.components_scope(), ComponentsScope::None);
         let speeds_active = !self.world.speeds.is_empty();
@@ -899,7 +909,7 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         let comps: &Components = if !P::NEEDS_COMPONENTS || skip_components {
             Components::EMPTY
         } else if frontier_sparse {
-            if let ComponentsScope::Seeded(seeds) = self.process.components_scope() {
+            if let ComponentsScope::Boundary(set) = self.process.components_scope() {
                 if self.scratch.hash_live {
                     self.scratch.hash.apply_moves(&self.scratch.moves);
                 } else {
@@ -910,11 +920,11 @@ impl<P: Process, T: Topology> Simulation<P, T> {
                     );
                     self.scratch.hash_live = true;
                 }
-                components_from_seeds_on_by(
+                components_on_boundary_by(
                     &self.scratch.hash,
                     &mut self.scratch.seeded,
                     self.engine.positions(),
-                    seeds,
+                    set,
                     &contact,
                 )
             } else {

@@ -164,6 +164,17 @@ impl BitSet {
         }
     }
 
+    /// Iterates over the indices of clear bits in `0..len` in increasing
+    /// order (the bits past `len` in the last word are never yielded).
+    pub fn iter_zeros(&self) -> Zeros<'_> {
+        Zeros {
+            words: &self.words,
+            len: self.len,
+            word_idx: 0,
+            current: zeros_of_word(&self.words, self.len, 0),
+        }
+    }
+
     /// Zeroes the bits above `len` in the last word so `count_ones` stays
     /// exact after `set_all`.
     fn trim_tail(&mut self) {
@@ -222,6 +233,47 @@ impl Iterator for Ones<'_> {
                 return None;
             }
             self.current = self.words[self.word_idx];
+        }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some(self.word_idx * 64 + bit)
+    }
+}
+
+/// The clear bits of word `idx` as set bits, masked to `0..len` (0 past
+/// the last word).
+#[inline]
+fn zeros_of_word(words: &[u64], len: usize, idx: usize) -> u64 {
+    let Some(&w) = words.get(idx) else {
+        return 0;
+    };
+    let tail = len % 64;
+    if idx + 1 == words.len() && tail != 0 {
+        !w & ((1u64 << tail) - 1)
+    } else {
+        !w
+    }
+}
+
+/// Iterator over clear-bit indices, produced by [`BitSet::iter_zeros`].
+#[derive(Clone, Debug)]
+pub struct Zeros<'a> {
+    words: &'a [u64],
+    len: usize,
+    word_idx: usize,
+    current: u64,
+}
+
+impl Iterator for Zeros<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.current == 0 {
+            self.word_idx += 1;
+            if self.word_idx >= self.words.len() {
+                return None;
+            }
+            self.current = zeros_of_word(self.words, self.len, self.word_idx);
         }
         let bit = self.current.trailing_zeros() as usize;
         self.current &= self.current - 1;
@@ -299,6 +351,21 @@ mod tests {
         }
         let got: Vec<usize> = s.iter_ones().collect();
         assert_eq!(got, idx);
+    }
+
+    #[test]
+    fn iter_zeros_is_the_complement_within_len() {
+        let mut s = BitSet::new(130);
+        for i in [0usize, 5, 63, 64, 129] {
+            s.insert(i);
+        }
+        let zeros: Vec<usize> = s.iter_zeros().collect();
+        let expected: Vec<usize> = (0..130).filter(|&i| !s.contains(i)).collect();
+        assert_eq!(zeros, expected);
+        s.set_all();
+        assert_eq!(s.iter_zeros().next(), None);
+        assert_eq!(BitSet::new(0).iter_zeros().next(), None);
+        assert_eq!(BitSet::new(3).iter_zeros().collect::<Vec<_>>(), [0, 1, 2]);
     }
 
     #[test]

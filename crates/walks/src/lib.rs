@@ -57,7 +57,7 @@ mod meeting;
 mod range;
 mod seeds;
 
-pub use bitset::{BitSet, Ones};
+pub use bitset::{BitSet, Ones, Zeros};
 pub use cover::{multi_cover, CoverRun, CoverTracker};
 pub use diffusion::{mean_squared_displacement, msd_curve, LAZY_WALK_MSD_SLOPE};
 pub use displacement::{azuma_deviation_bound, DisplacementTracker};

@@ -159,4 +159,28 @@ proptest! {
             xs.iter().chain(&ys).collect::<std::collections::HashSet<_>>().len()
         );
     }
+
+    #[test]
+    fn bitset_iter_zeros_is_the_complement_within_len(
+        len in (0usize..5, 1usize..64).prop_map(|(words, tail)| words * 64 + tail),
+        bits in proptest::collection::vec(any::<bool>(), 320..321),
+        full in any::<bool>(),
+    ) {
+        // `set_all` leaves the tail bits past `len` clear, arbitrary
+        // inserts leave them clear too; neither may leak a zero past
+        // `len` into the iteration.
+        let mut s = BitSet::new(len);
+        if full {
+            s.set_all();
+        }
+        for (i, &on) in bits.iter().enumerate().take(len) {
+            if on {
+                s.insert(i);
+            }
+        }
+        let zeros: Vec<usize> = s.iter_zeros().collect();
+        let expected: Vec<usize> = (0..len).filter(|&i| !s.contains(i)).collect();
+        prop_assert_eq!(zeros.len() + s.count_ones(), len);
+        prop_assert_eq!(zeros, expected);
+    }
 }

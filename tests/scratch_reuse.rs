@@ -328,7 +328,107 @@ fn frontier_sparse_path_matches_full_path_outcomes() {
             full_outcome_for(seed, &cfg),
             "alternating seed={seed}"
         );
+
+        // Step by step, the boundary-labelled path must keep the same
+        // informed set as the full path after every step, on every
+        // world axis the scope covers.
+        assert_informed_lockstep(
+            |rng| Simulation::broadcast(&cfg, rng).unwrap(),
+            seed,
+            "broadcast",
+        );
+        assert_informed_lockstep(|rng| Simulation::frog(&cfg, rng).unwrap(), seed, "frog");
+        assert_informed_lockstep(
+            |rng| Simulation::infection(&cfg, rng).unwrap(),
+            seed,
+            "infection",
+        );
+        assert_informed_lockstep(
+            |rng| {
+                let process = Broadcast::with_sources(14, 4).unwrap();
+                Simulation::new(Grid::new(28).unwrap(), 14, 1, cfg.max_steps(), process, rng)
+                    .unwrap()
+            },
+            seed,
+            "multi-source",
+        );
+        // Just above r_c = sqrt(28^2 / 40) ≈ 4.4: giant components, and
+        // most steps run with the informed side the larger one (265 of
+        // 321 steps over seeds 0..8), so the labeller scans the zeros.
+        let dense = config(28, 40, 5);
+        assert_informed_lockstep(
+            |rng| Simulation::broadcast(&dense, rng).unwrap(),
+            seed,
+            "dense",
+        );
+        assert!(
+            full_outcome_for(seed, &dense).completed(),
+            "dense seed={seed}"
+        );
+        assert_world_informed_lockstep(&churn_spec(5), seed);
     }
+}
+
+/// Steps two simulations built from the same seed in lockstep — one
+/// under `NullObserver` (boundary labelling over the maintained hash),
+/// one under `FullView` (the full rebuild) — asserting equal informed
+/// sets after placement and after every step, and equal completion.
+fn assert_informed_lockstep<P: Process, T: Topology>(
+    make: impl Fn(&mut SmallRng) -> Simulation<P, T>,
+    seed: u64,
+    label: &str,
+) {
+    let mut sparse_rng = SmallRng::seed_from_u64(seed);
+    let mut sparse = make(&mut sparse_rng);
+    let mut full_rng = SmallRng::seed_from_u64(seed);
+    let mut full = make(&mut full_rng);
+    loop {
+        assert_eq!(
+            sparse.process().informed(),
+            full.process().informed(),
+            "{label} seed={seed} t={}",
+            sparse.time()
+        );
+        if full.is_complete() || full.time() >= full.max_steps() {
+            break;
+        }
+        let a = sparse.step(&mut sparse_rng, &mut sparsegossip::core::NullObserver);
+        let b = full.step(&mut full_rng, &mut FullView);
+        assert_eq!(a, b, "{label} seed={seed} t={}", full.time());
+    }
+    assert_eq!(
+        sparse.is_complete(),
+        full.is_complete(),
+        "{label} seed={seed}"
+    );
+}
+
+/// [`assert_informed_lockstep`] for a world simulation: churn,
+/// heterogeneous radii and walls all on.
+fn assert_world_informed_lockstep(spec: &ScenarioSpec, seed: u64) {
+    let mut sparse_rng = SmallRng::seed_from_u64(seed);
+    let mut sparse = WorldSim::from_spec(spec, &mut sparse_rng).unwrap();
+    let mut full_rng = SmallRng::seed_from_u64(seed);
+    let mut full = WorldSim::from_spec(spec, &mut full_rng).unwrap();
+    loop {
+        assert_eq!(
+            sparse.process().informed_set(),
+            full.process().informed_set(),
+            "world seed={seed} t={}",
+            sparse.time()
+        );
+        if full.is_complete() || full.time() >= spec.config().max_steps() {
+            break;
+        }
+        let a = sparse.step(&mut sparse_rng, &mut sparsegossip::core::NullObserver);
+        let b = full.step(&mut full_rng, &mut FullView);
+        assert_eq!(a, b, "world seed={seed} t={}", full.time());
+    }
+    assert_eq!(
+        sparse.is_complete(),
+        full.is_complete(),
+        "world seed={seed}"
+    );
 }
 
 fn full_outcome_for(seed: u64, cfg: &SimConfig) -> BroadcastOutcome {
