@@ -8,8 +8,8 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use sparsegossip_conngraph::{
     components, components_brute, components_from_seeds_into, components_from_seeds_on,
-    components_into, components_on_boundary_by, ComponentsScratch, SeededScratch, SpatialHash,
-    SpatialScratch, UniformContact,
+    components_into, components_on_boundary_by, components_on_by, ComponentsScratch, SeededScratch,
+    SpatialHash, SpatialScratch, UniformContact,
 };
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
@@ -20,6 +20,40 @@ fn positions(k: usize, side: u32, seed: u64) -> Vec<Point> {
     (0..k)
         .map(|_| Point::new(rng.random_range(0..side), rng.random_range(0..side)))
         .collect()
+}
+
+/// One lazy step's worth of moves over `pts` (~4/5 of the agents move
+/// one cell): the forward log, its reverse (so a maintained hash
+/// returns to `pts` after both), and the moved positions.
+#[allow(clippy::type_complexity)]
+fn lazy_step_moves(
+    pts: &[Point],
+    side: u32,
+) -> (
+    Vec<(u32, Point, Point)>,
+    Vec<(u32, Point, Point)>,
+    Vec<Point>,
+) {
+    let mut rng = SmallRng::seed_from_u64(13);
+    let mut fwd = Vec::new();
+    for (i, &p) in pts.iter().enumerate() {
+        let to = match rng.random_range(0u32..5) {
+            0 if p.y + 1 < side => Point::new(p.x, p.y + 1),
+            1 if p.x + 1 < side => Point::new(p.x + 1, p.y),
+            2 if p.y > 0 => Point::new(p.x, p.y - 1),
+            3 if p.x > 0 => Point::new(p.x - 1, p.y),
+            _ => p,
+        };
+        if to != p {
+            fwd.push((i as u32, p, to));
+        }
+    }
+    let rev = fwd.iter().map(|&(i, from, to)| (i, to, from)).collect();
+    let mut moved = pts.to_vec();
+    for &(i, _, to) in &fwd {
+        moved[i as usize] = to;
+    }
+    (fwd, rev, moved)
 }
 
 fn bench_components(c: &mut Criterion) {
@@ -80,8 +114,9 @@ fn bench_scratch_reuse(c: &mut Criterion) {
 /// mixing informed and uninformed agents, scanned from the smaller
 /// side; hash rebuilt per iteration like the seeded case), and seeded
 /// labelling over an incrementally maintained
-/// hash (`apply_moves` with a lazy-walk-sized move log — the per-step
-/// work of the `Simulation` frontier path).
+/// hash (`apply_moves` with a lazy-walk-sized move log), and the full
+/// partition over that maintained hash — the per-step labelling work of
+/// `Simulation::step` under a `Boundary` scope and a `Full` scope.
 fn bench_components_seeded(c: &mut Criterion) {
     let side = 512;
     let mut group = c.benchmark_group("components_seeded");
@@ -128,33 +163,8 @@ fn bench_components_seeded(c: &mut Criterion) {
                 ));
             });
         });
+        let (fwd, rev, moved) = lazy_step_moves(&pts, side);
         group.bench_with_input(BenchmarkId::new("incremental_hash", k), &k, |b, _| {
-            // One lazy step's worth of moves (~4/5 of the agents move
-            // one cell), applied forward then backward so the hash
-            // returns to `pts` every iteration.
-            let mut rng = SmallRng::seed_from_u64(13);
-            let mut fwd = Vec::new();
-            for (i, &p) in pts.iter().enumerate() {
-                let to = match rng.random_range(0u32..5) {
-                    0 if p.y + 1 < side => Point::new(p.x, p.y + 1),
-                    1 if p.x + 1 < side => Point::new(p.x + 1, p.y),
-                    2 if p.y > 0 => Point::new(p.x, p.y - 1),
-                    3 if p.x > 0 => Point::new(p.x - 1, p.y),
-                    _ => p,
-                };
-                if to != p {
-                    fwd.push((i as u32, p, to));
-                }
-            }
-            let rev: Vec<(u32, Point, Point)> =
-                fwd.iter().map(|&(i, from, to)| (i, to, from)).collect();
-            let moved: Vec<Point> = {
-                let mut v = pts.clone();
-                for &(i, _, to) in &fwd {
-                    v[i as usize] = to;
-                }
-                v
-            };
             let mut hash = SpatialHash::build(&pts, r, side);
             let mut scratch = SeededScratch::new();
             b.iter(|| {
@@ -174,6 +184,21 @@ fn bench_components_seeded(c: &mut Criterion) {
                     &seeds,
                     r,
                 ));
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("full_on_maintained", k), &k, |b, _| {
+            // The full partition over the same maintained (linked)
+            // hash: the per-step work of a `Full`-scope process such as
+            // gossip, to set against the `scratch` rebuild above (both
+            // halves of an iteration count, so halve for one step).
+            let mut hash = SpatialHash::build(&pts, r, side);
+            let mut scratch = ComponentsScratch::new();
+            let contact = UniformContact(r);
+            b.iter(|| {
+                hash.apply_moves(&fwd);
+                black_box(components_on_by(&hash, &mut scratch, &moved, &contact));
+                hash.apply_moves(&rev);
+                black_box(components_on_by(&hash, &mut scratch, &pts, &contact));
             });
         });
     }

@@ -7,14 +7,18 @@
 //! directly, for a matrix of processes × grid sides × agent counts, and
 //! for **both** labelling strategies of the driver:
 //!
-//! * **full** — the classic path: hash rebuild + union–find over all
-//!   `k` agents (forced by an observer that wants the full partition);
+//! * **full** — whole-partition labelling (union–find over all `k`
+//!   agents) over the maintained spatial hash, forced by an observer
+//!   that wants the full partition;
 //! * **frontier** — the default `run()` path: for processes with a
 //!   `Boundary` components scope (broadcast, infection, the frog model),
-//!   the spatial hash is maintained incrementally from the engine's
-//!   move log and only the components holding both an informed and an
-//!   uninformed agent are labelled. For `Full`-scope processes (gossip)
-//!   the two strategies coincide.
+//!   only the components holding both an informed and an uninformed
+//!   agent are labelled. For `Full`-scope processes (gossip) the two
+//!   strategies coincide.
+//!
+//! Both strategies share one stepping path: the walk logs its moves and
+//! the spatial hash is maintained from the log, never rebuilt per step;
+//! only the labeller differs.
 //!
 //! Reported per scenario: **ns/step** and **steps/sec** for both paths
 //! over a timed window of steady-state steps (after a warm-up that
@@ -85,8 +89,9 @@ fn allocs_now() -> (u64, u64) {
 }
 
 /// A do-nothing observer that still demands the full visibility
-/// partition, forcing the driver onto the classic rebuild-everything
-/// path — the "before" side of every full-vs-frontier comparison.
+/// partition, forcing the driver to label the whole partition (over
+/// the same maintained hash) — the "before" side of every
+/// full-vs-frontier comparison.
 struct FullPathProbe;
 
 impl Observer for FullPathProbe {
@@ -100,9 +105,10 @@ struct Row {
     k: usize,
     r: u32,
     steps: u64,
-    /// Classic path: full hash rebuild + whole-partition labelling.
+    /// Full path: whole-partition labelling over the maintained hash
+    /// (no per-step rebuild).
     ns_per_step_full: f64,
-    /// Default `run()` path: frontier-sparse for `Boundary`-scope
+    /// Default `run()` path: boundary labelling for `Boundary`-scope
     /// processes, identical to `ns_per_step_full` machinery otherwise.
     ns_per_step: f64,
     steps_per_sec: f64,
@@ -356,8 +362,8 @@ fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "P1",
         "steady-state hot-path throughput and allocation census",
-        "a steady-state step allocates nothing, and frontier-sparse stepping beats the full \
-         rebuild in the sparse-informed and masked-mobility regimes",
+        "a steady-state step allocates nothing, and frontier-sparse stepping beats \
+         whole-partition labelling in the sparse-informed and masked-mobility regimes",
     );
     let (warmup, steps) = ctx.pick((100u64, 2_000u64), (200, 20_000));
     let sides: &[u32] = ctx.pick(&[128, 512][..], &[128, 512, 1024][..]);

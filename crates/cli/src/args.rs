@@ -35,6 +35,12 @@ pub enum ArgError {
         /// Option name.
         key: String,
     },
+    /// An option or flag the command does not accept (typically a
+    /// typo, which must not silently fall back to a default).
+    UnknownOption {
+        /// Option name.
+        key: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -46,6 +52,9 @@ impl fmt::Display for ArgError {
             }
             Self::UnexpectedPositional(a) => write!(f, "unexpected argument {a:?}"),
             Self::DuplicateOption { key } => write!(f, "option --{key} given more than once"),
+            Self::UnknownOption { key } => {
+                write!(f, "unknown option --{key}; try `sparsegossip help`")
+            }
         }
     }
 }
@@ -106,6 +115,27 @@ impl ParsedArgs {
     #[must_use]
     pub fn has_option(&self, name: &str) -> bool {
         self.options.contains_key(name) || self.flag(name)
+    }
+
+    /// Checks every given option and flag against the names a command
+    /// accepts, listed in `known` as groups of names.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::UnknownOption`] naming the first option
+    /// (alphabetically), or else the first flag (in command-line
+    /// order), that no group lists.
+    pub fn reject_unknown(&self, known: &[&[&str]]) -> Result<(), ArgError> {
+        let is_known = |key: &str| known.iter().any(|group| group.contains(&key));
+        match self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .find(|key| !is_known(key))
+        {
+            Some(key) => Err(ArgError::UnknownOption { key: key.clone() }),
+            None => Ok(()),
+        }
     }
 
     /// Parses `--name` as `T`, with a default when absent.
@@ -227,6 +257,39 @@ mod tests {
     }
 
     #[test]
+    fn unknown_options_and_flags_are_rejected() {
+        let known: &[&[&str]] = &[&["side", "k", "radius", "json"], &["frog"]];
+        for (line, key) in [
+            ("broadcast --side 64 --k 32 --radisu 2 --json", "radisu"),
+            ("gossip --side 64 --k 32 --frogg", "frogg"),
+            ("broadcast --frogg --radisu 2", "radisu"),
+        ] {
+            let p = ParsedArgs::parse(to_args(line)).unwrap();
+            assert_eq!(
+                p.reject_unknown(known).unwrap_err(),
+                ArgError::UnknownOption {
+                    key: key.to_string()
+                },
+                "{line}"
+            );
+        }
+        let p = ParsedArgs::parse(to_args("broadcast --side 64 --radius 2 --frog --json")).unwrap();
+        assert_eq!(p.reject_unknown(known), Ok(()));
+        // A known valued option given as a bare flag is known; its
+        // missing value is `get`'s error to report.
+        let p = ParsedArgs::parse(to_args("broadcast --radius")).unwrap();
+        assert_eq!(p.reject_unknown(known), Ok(()));
+        let err = ParsedArgs::parse(to_args("gossip --frogg"))
+            .unwrap()
+            .reject_unknown(known)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown option --frogg; try `sparsegossip help`"
+        );
+    }
+
+    #[test]
     fn error_messages_are_lowercase() {
         for e in [
             ArgError::MissingCommand,
@@ -235,6 +298,8 @@ mod tests {
                 value: "x".into(),
             },
             ArgError::UnexpectedPositional("y".into()),
+            ArgError::DuplicateOption { key: "k".into() },
+            ArgError::UnknownOption { key: "z".into() },
         ] {
             assert!(e.to_string().chars().next().unwrap().is_lowercase());
         }

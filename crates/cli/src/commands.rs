@@ -161,21 +161,98 @@ impl From<sparsegossip_walks::WalkError> for CliError {
     }
 }
 
-/// Routes a parsed command line to its implementation.
+/// Routes a parsed command line to its implementation, after checking
+/// that every option and flag is one the command accepts — before any
+/// simulation runs, so a typo fails instead of falling back to a
+/// default.
 pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
-    match args.command.as_str() {
-        "broadcast" => broadcast(args),
-        "gossip" => gossip(args),
-        "infection" => infection(args),
-        "coverage" => coverage(args),
-        "protocol" => protocol(args),
-        "percolation" => percolation(args),
-        "cover" => cover(args),
-        "predator" => predator(args),
-        "sweep" => sweep(args),
-        other => Err(CliError::UnknownCommand(other.to_string())),
-    }
+    type Command = fn(&ParsedArgs) -> Result<(), CliError>;
+    let (run, known): (Command, &[&[&str]]) = match args.command.as_str() {
+        "broadcast" => (
+            broadcast,
+            &[
+                COMMON_KEYS,
+                WORLD_KEYS,
+                &["max-steps", "reps", "threads", "one-hop", "frog"],
+            ],
+        ),
+        "gossip" => (gossip, &[COMMON_KEYS, &["rumors"]]),
+        "infection" => (infection, &[COMMON_KEYS, WORLD_KEYS, &["max-steps"]]),
+        "coverage" => (coverage, &[COMMON_KEYS]),
+        "protocol" => (
+            protocol,
+            &[
+                COMMON_KEYS,
+                &[
+                    "max-steps",
+                    "drop",
+                    "delay",
+                    "cap",
+                    "interval",
+                    "workers",
+                    "crash",
+                    "restart-delay",
+                    "partition-start",
+                    "partition-len",
+                    "retransmit",
+                    "anti-entropy",
+                ],
+            ],
+        ),
+        "percolation" => (percolation, &[COMMON_KEYS, &["samples"]]),
+        "cover" => (cover, &[&["side", "k", "seed", "json", "cap"]]),
+        "predator" => (
+            predator,
+            &[&[
+                "side",
+                "radius",
+                "seed",
+                "json",
+                "predators",
+                "preys",
+                "static-preys",
+            ]],
+        ),
+        "sweep" => (
+            sweep,
+            &[&[
+                "spec",
+                "replicates",
+                "threads",
+                "seed",
+                "barrier-densities",
+                "churn-rates",
+                "radius-mixes",
+                "crash-probs",
+                "partition-lens",
+                "adaptive",
+                "budget",
+                "replicate-budget",
+                "store",
+                "resume",
+                "json",
+            ]],
+        ),
+        other => return Err(CliError::UnknownCommand(other.to_string())),
+    };
+    args.reject_unknown(known)?;
+    run(args)
 }
+
+/// The options [`common`] reads.
+const COMMON_KEYS: &[&str] = &["side", "k", "radius", "seed", "json"];
+
+/// The options [`world_config`] reads.
+const WORLD_KEYS: &[&str] = &[
+    "barrier-density",
+    "churn-rate",
+    "hetero-fraction",
+    "hetero-factor",
+    "speed-fraction",
+    "speed-factor",
+    "sources",
+    "adversarial",
+];
 
 struct Common {
     side: u32,
@@ -1158,6 +1235,33 @@ mod tests {
             dispatch(&parsed("frobnicate")),
             Err(CliError::UnknownCommand(_))
         ));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_before_running() {
+        // A typo'd valued option and a typo'd flag, plus options that
+        // are real for another command only: each is named in the
+        // error instead of silently taking the default.
+        for (cmd, key) in [
+            ("broadcast --side 64 --k 32 --radisu 2 --json", "radisu"),
+            ("gossip --side 64 --k 32 --frogg", "frogg"),
+            ("gossip --side 12 --k 4 --frog", "frog"),
+            ("coverage --side 10 --k 6 --max-steps 5", "max-steps"),
+            ("cover --side 8 --k 4 --radius 2", "radius"),
+            ("predator --side 10 --k 4 --preys 3", "k"),
+            ("protocol --side 12 --k 6 --retransmitt", "retransmitt"),
+            (
+                "sweep --spec /nonexistent/no.toml --replicate 2",
+                "replicate",
+            ),
+        ] {
+            match dispatch(&parsed(cmd)) {
+                Err(CliError::Args(ArgError::UnknownOption { key: got })) => {
+                    assert_eq!(got, key, "{cmd}");
+                }
+                other => panic!("{cmd}: expected UnknownOption, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -481,6 +481,82 @@ impl SpatialHash {
         }
         false
     }
+
+    /// Calls `f(a, b)` once for every unordered pair of agents in the
+    /// same or 8-adjacent buckets — the candidate superset of every pair
+    /// within the build radius (callers still apply the exact test).
+    /// Works in both storage modes.
+    ///
+    /// Each occupied bucket is visited once, in first-agent order: its
+    /// within-bucket pairs, then its pairs with the four forward buckets
+    /// (E, N, NE, NW), so no pair is visited twice. In grouped mode the
+    /// occupied list drives the scan; in linked mode an agent stands for
+    /// its bucket when it heads the bucket's list, so the cost is O(k)
+    /// plus the pairs either way — never O(#buckets), which is decisive
+    /// in the contact-only regime (`r = 0`, `n ≫ k` buckets).
+    ///
+    /// The full labellers' union scan; allocates nothing.
+    // detlint: hot
+    pub(crate) fn for_each_candidate_pair(&self, positions: &[Point], mut f: impl FnMut(u32, u32)) {
+        let width = self.buckets_per_side;
+        if self.linked {
+            let bucket = |b: usize| BucketAgents::Linked {
+                next: &self.next,
+                cur: self.head[b],
+            };
+            for (a, &p) in positions.iter().enumerate() {
+                let (bx, by) = self.bucket_of(p);
+                if self.head[(by * width + bx) as usize] == a as u32 {
+                    self.bucket_pairs(bx, by, bucket, &mut f);
+                }
+            }
+        } else {
+            let bucket = |b: usize| {
+                self.agents[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+                    .iter()
+                    .copied()
+            };
+            for &b in &self.occupied {
+                self.bucket_pairs(b % width, b / width, bucket, &mut f);
+            }
+        }
+    }
+
+    /// The pairs [`for_each_candidate_pair`](Self::for_each_candidate_pair)
+    /// charges to the occupied bucket `(bx, by)`; `bucket` lists a
+    /// bucket's agents in increasing order in the hash's storage mode.
+    #[inline]
+    fn bucket_pairs<I: Iterator<Item = u32> + Clone>(
+        &self,
+        bx: u32,
+        by: u32,
+        bucket: impl Fn(usize) -> I,
+        f: &mut impl FnMut(u32, u32),
+    ) {
+        let width = self.buckets_per_side as usize;
+        let (bx, by) = (bx as usize, by as usize);
+        let b = by * width + bx;
+        let mut here = bucket(b);
+        while let Some(a) = here.next() {
+            for c in here.clone() {
+                f(a, c);
+            }
+        }
+        let (east, north) = (bx + 1 < width, by + 1 < width);
+        let forward = [
+            east.then_some(b + 1),
+            north.then_some(b + width),
+            (east && north).then_some(b + width + 1),
+            (bx > 0 && north).then(|| b + width - 1),
+        ];
+        for there in forward.into_iter().flatten().map(&bucket) {
+            for c in there {
+                for a in bucket(b) {
+                    f(a, c);
+                }
+            }
+        }
+    }
 }
 
 /// Iterator over one bucket's agents, produced by

@@ -272,9 +272,11 @@ impl ComponentsScratch {
 }
 
 /// Unions every pair of agents the contact model accepts, scanning
-/// each *occupied* bucket pair of the hash exactly once — O(k) bucket
-/// work even when the grid has `n ≫ k` buckets (the `r = 0`
-/// contact-only regime), where a full-grid sweep would cost O(n).
+/// each candidate pair of the hash once
+/// (`SpatialHash::for_each_candidate_pair`) — O(k) bucket work in
+/// either storage mode, even when the grid has `n ≫ k` buckets (the
+/// `r = 0` contact-only regime), where a full-grid sweep would cost
+/// O(n).
 ///
 /// The hash's bucket radius must bound the contact model's reach (see
 /// the [`Contact`] contract); the homogeneous path monomorphizes to
@@ -290,47 +292,12 @@ fn union_visible_by<C: Contact>(
     contact: &C,
     uf: &mut UnionFind,
 ) {
-    let bps = hash.buckets_per_side();
-    // Half-neighbourhood scan so each bucket pair is examined once:
-    // within-bucket pairs, then (E, N, NE, NW) neighbour buckets.
-    const NEIGHBOR_OFFSETS: [(i32, i32); 4] = [(1, 0), (0, 1), (1, 1), (-1, 1)];
-    for &bucket in hash.occupied_buckets() {
-        let bx = bucket % bps;
-        let by = bucket / bps;
-        let here = hash.bucket_agents(bx, by);
-        for (idx, &a) in here.iter().enumerate() {
-            for &b in &here[idx + 1..] {
-                if contact.in_contact(
-                    a as usize,
-                    b as usize,
-                    positions[a as usize],
-                    positions[b as usize],
-                ) {
-                    uf.union(a as usize, b as usize);
-                }
-            }
+    hash.for_each_candidate_pair(positions, |a, b| {
+        let (a, b) = (a as usize, b as usize);
+        if contact.in_contact(a, b, positions[a], positions[b]) {
+            uf.union(a, b);
         }
-        for (dx, dy) in NEIGHBOR_OFFSETS {
-            let nx = bx as i32 + dx;
-            let ny = by as i32 + dy;
-            if nx < 0 || ny < 0 || nx >= bps as i32 || ny >= bps as i32 {
-                continue;
-            }
-            let there = hash.bucket_agents(nx as u32, ny as u32);
-            for &a in here {
-                for &b in there {
-                    if contact.in_contact(
-                        a as usize,
-                        b as usize,
-                        positions[a as usize],
-                        positions[b as usize],
-                    ) {
-                        uf.union(a as usize, b as usize);
-                    }
-                }
-            }
-        }
-    }
+    });
 }
 
 /// Computes the connected components of `G_t(r)` over `positions` on a
@@ -411,13 +378,18 @@ pub fn components_into_by<'a, C: Contact>(
     &*comps
 }
 
-/// Computes the connected components over an already-built (or
-/// incrementally maintained) `hash` under an arbitrary [`Contact`]
+/// Computes the connected components over an already-built or
+/// incrementally maintained `hash` under an arbitrary [`Contact`]
 /// model — the full-partition counterpart of
-/// [`components_from_seeds_on_by`](crate::components_from_seeds_on_by).
+/// [`components_on_boundary_by`](crate::components_on_boundary_by), and
+/// what [`components_into_by`] runs after building its own hash.
 ///
-/// The `hash` must describe exactly `positions` and its bucket radius
-/// must bound the contact model's reach.
+/// The `hash` may be in either storage mode: freshly built (grouped) or
+/// maintained by [`SpatialHash::apply_moves`] (linked). It must
+/// describe exactly `positions`, and its bucket radius must bound the
+/// contact model's reach. The partition is identical to
+/// [`components_into_by`]'s on the same positions, and after warm-up
+/// at the working size the call performs no heap allocation.
 ///
 /// # Panics
 ///
@@ -574,6 +546,36 @@ mod tests {
                 let fresh = components(pts, r, 20);
                 let reused = components_into(&mut scratch, pts, r, 20);
                 assert_eq!(reused, &fresh, "k={} r={r}", pts.len());
+            }
+        }
+    }
+
+    #[test]
+    fn full_labelling_runs_on_a_linked_hash() {
+        // Empty bucket (0,0), re-occupy it from across the grid, and
+        // move within a bucket: after each batch the labelling over the
+        // maintained (linked) hash equals a fresh build, at r = 0 and
+        // at r = 2.
+        for r in [0u32, 2] {
+            let mut pts = vec![Point::new(0, 0), Point::new(7, 7), Point::new(1, 0)];
+            let mut hash = SpatialHash::build(&pts, r, 8);
+            let mut scratch = ComponentsScratch::new();
+            let batches = [
+                vec![(0u32, Point::new(0, 0), Point::new(0, 1))],
+                vec![(1u32, Point::new(7, 7), Point::new(0, 0))],
+                vec![
+                    (2u32, Point::new(1, 0), Point::new(7, 7)),
+                    (1u32, Point::new(0, 0), Point::new(1, 0)),
+                ],
+            ];
+            for batch in &batches {
+                for &(a, _, to) in batch {
+                    pts[a as usize] = to;
+                }
+                hash.apply_moves(batch);
+                assert!(hash.is_linked());
+                let on = components_on_by(&hash, &mut scratch, &pts, &UniformContact(r));
+                assert_eq!(on, &components(&pts, r, 8), "r={r} pts={pts:?}");
             }
         }
     }

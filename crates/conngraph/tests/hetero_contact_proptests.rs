@@ -3,14 +3,14 @@
 //! accepted by the symmetric `min(r_i, r_j)` rule) must agree exactly
 //! with the O(k²) brute-force reference on arbitrary configurations —
 //! including `r = 0` agents — on the full partition, the seeded path
-//! over an incrementally maintained hash, and the boundary path (with
-//! and without walls).
+//! over an incrementally maintained hash, the boundary path (with and
+//! without walls), and the full partition over a maintained hash.
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
     components_brute_by, components_from_seeds_on_by, components_into_by,
-    components_on_boundary_by, Components, ComponentsScratch, Contact, RadiiContact, SeededScratch,
-    SpatialHash, UniformContact,
+    components_on_boundary_by, components_on_by, Components, ComponentsScratch, Contact,
+    RadiiContact, SeededScratch, SpatialHash, UniformContact,
 };
 use sparsegossip_grid::{BarrierGrid, Point};
 use sparsegossip_walks::BitSet;
@@ -80,6 +80,49 @@ fn seeds_from_mask(mask: &[bool], k: usize) -> BitSet {
         }
     }
     seeds
+}
+
+/// Random batches of logged moves. Per entry `(a, kind, x, y)`, agent
+/// `a % k` takes a clamped unit step in direction `x % 4` (kind 0:
+/// within or across a bucket), teleports to `(x % side, y % side)`
+/// (kind 1: usually a bucket crossing, which empties the old bucket
+/// when the agent was alone there), or holds (kind 2). An agent may
+/// move several times in one batch.
+fn arb_move_batches() -> impl Strategy<Value = Vec<Vec<(u16, u8, u16, u16)>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((any::<u16>(), 0u8..3, any::<u16>(), any::<u16>()), 0..80),
+        0..6,
+    )
+}
+
+/// Applies one batch of [`arb_move_batches`] to `positions`, logging
+/// each actual move in `moves` (cleared first).
+fn apply_batch(
+    positions: &mut [Point],
+    batch: &[(u16, u8, u16, u16)],
+    side: u32,
+    moves: &mut Vec<(u32, Point, Point)>,
+) {
+    moves.clear();
+    if positions.is_empty() {
+        return;
+    }
+    for &(a, kind, x, y) in batch {
+        let i = usize::from(a) % positions.len();
+        let from = positions[i];
+        let to = match (kind, x % 4) {
+            (0, 0) if from.y + 1 < side => Point::new(from.x, from.y + 1),
+            (0, 1) if from.x + 1 < side => Point::new(from.x + 1, from.y),
+            (0, 2) if from.y > 0 => Point::new(from.x, from.y - 1),
+            (0, 3) if from.x > 0 => Point::new(from.x - 1, from.y),
+            (1, _) => Point::new(u32::from(x) % side, u32::from(y) % side),
+            _ => from,
+        };
+        if to != from {
+            positions[i] = to;
+            moves.push((i as u32, from, to));
+        }
+    }
 }
 
 fn max_radius(radii: &[u32]) -> u32 {
@@ -291,6 +334,43 @@ proptest! {
             assert_boundary_restriction(b, &full, &set);
             let flooded: Vec<u32> = b.iter().flatten().copied().collect();
             set.extend(flooded.iter().map(|&a| a as usize));
+        }
+    }
+
+    #[test]
+    fn hetero_full_labelling_over_maintained_hash_equals_brute_force(
+        (positions, radii, side, _mask) in arb_hetero_layout(),
+        batches in arb_move_batches(),
+        density_pct in 0u32..101,
+    ) {
+        // Heterogeneous radii (zeros included), without and with
+        // city-block walls: after every batch, the full partition over
+        // the linked hash and the rebuilding `components_into_by` must
+        // both equal brute force.
+        let walls = BarrierGrid::city_blocks(side, f64::from(density_pct) / 100.0).unwrap();
+        let radii_only = RadiiContact(&radii);
+        let walled = WalledRadii { radii: &radii, walls: &walls };
+        let r_max = max_radius(&radii);
+        let mut positions = positions;
+        let mut hash = SpatialHash::build(&positions, r_max, side);
+        let mut scratch = ComponentsScratch::new();
+        let mut rebuilt = ComponentsScratch::new();
+        let mut moves = Vec::new();
+        for batch in &batches {
+            apply_batch(&mut positions, batch, side, &mut moves);
+            hash.apply_moves(&moves);
+            let brute = components_brute_by(&positions, &radii_only, side);
+            prop_assert_eq!(components_on_by(&hash, &mut scratch, &positions, &radii_only), &brute);
+            prop_assert_eq!(
+                components_into_by(&mut rebuilt, &positions, &radii_only, r_max, side),
+                &brute
+            );
+            let brute = components_brute_by(&positions, &walled, side);
+            prop_assert_eq!(components_on_by(&hash, &mut scratch, &positions, &walled), &brute);
+            prop_assert_eq!(
+                components_into_by(&mut rebuilt, &positions, &walled, r_max, side),
+                &brute
+            );
         }
     }
 

@@ -1,14 +1,15 @@
 //! Property-based tests: the spatially-hashed component builder must
 //! agree exactly with the O(k²) brute-force reference on arbitrary
 //! agent layouts and radii; the seed-restricted builder must agree
-//! with the full builder on every seed-containing component; and a
-//! hash maintained move by move must equal a fresh build.
+//! with the full builder on every seed-containing component; a hash
+//! maintained move by move must equal a fresh build; and the full
+//! partition labelled over a maintained hash must equal brute force.
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
     components, components_brute, components_from_seeds, components_into,
-    components_on_boundary_by, giant_fraction, Components, ComponentsScratch, IslandStats,
-    SeededScratch, SpatialHash, UniformContact,
+    components_on_boundary_by, components_on_by, giant_fraction, Components, ComponentsScratch,
+    IslandStats, SeededScratch, SpatialHash, UniformContact,
 };
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
@@ -91,6 +92,47 @@ fn step_point(p: Point, dir: u8, side: u32) -> Point {
         2 if p.y > 0 => Point::new(p.x, p.y - 1),
         3 if p.x > 0 => Point::new(p.x - 1, p.y),
         _ => p,
+    }
+}
+
+/// Random batches of logged moves. Per entry `(a, kind, x, y)`, agent
+/// `a % k` takes a clamped unit step in direction `x % 4` (kind 0:
+/// within or across a bucket), teleports to `(x % side, y % side)`
+/// (kind 1: usually a bucket crossing, which empties the old bucket
+/// when the agent was alone there), or holds (kind 2). An agent may
+/// move several times in one batch, as a walk step followed by a churn
+/// teleport does.
+fn arb_move_batches() -> impl Strategy<Value = Vec<Vec<(u16, u8, u16, u16)>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((any::<u16>(), 0u8..3, any::<u16>(), any::<u16>()), 0..80),
+        0..6,
+    )
+}
+
+/// Applies one batch of [`arb_move_batches`] to `positions`, logging
+/// each actual move in `moves` (cleared first) as the walk kernels do.
+fn apply_batch(
+    positions: &mut [Point],
+    batch: &[(u16, u8, u16, u16)],
+    side: u32,
+    moves: &mut Vec<(u32, Point, Point)>,
+) {
+    moves.clear();
+    if positions.is_empty() {
+        return;
+    }
+    for &(a, kind, x, y) in batch {
+        let i = usize::from(a) % positions.len();
+        let from = positions[i];
+        let to = match kind {
+            0 => step_point(from, (x % 4) as u8, side),
+            1 => Point::new(u32::from(x) % side, u32::from(y) % side),
+            _ => from,
+        };
+        if to != from {
+            positions[i] = to;
+            moves.push((i as u32, from, to));
+        }
     }
 }
 
@@ -268,6 +310,33 @@ proptest! {
                 hashes_equal(&hash, &SpatialHash::build(&positions, r, side)),
                 "maintained hash diverged after {} moves", moves.len()
             );
+        }
+    }
+
+    #[test]
+    fn full_labelling_over_maintained_hash_equals_brute_force(
+        (positions, r, side) in arb_layout(),
+        batches in arb_move_batches(),
+    ) {
+        // Uniform radius at the drawn r and at r = 0 (one bucket per
+        // node, so every move is a bucket crossing): after every batch,
+        // the full partition over the linked hash and the rebuilding
+        // `components_into` must both equal brute force.
+        for r in [r, 0] {
+            let mut positions = positions.clone();
+            let mut hash = SpatialHash::build(&positions, r, side);
+            let mut scratch = ComponentsScratch::new();
+            let mut rebuilt = ComponentsScratch::new();
+            let mut moves = Vec::new();
+            for batch in &batches {
+                apply_batch(&mut positions, batch, side, &mut moves);
+                hash.apply_moves(&moves);
+                prop_assert!(hash.is_linked());
+                let brute = components_brute(&positions, r, side);
+                let on = components_on_by(&hash, &mut scratch, &positions, &UniformContact(r));
+                prop_assert_eq!(on, &brute, "r={} after {} moves", r, moves.len());
+                prop_assert_eq!(components_into(&mut rebuilt, &positions, r, side), &brute);
+            }
         }
     }
 

@@ -53,6 +53,10 @@ pub trait Observer {
     /// declare a [`Boundary`](crate::ComponentsScope::Boundary) scope —
     /// outcome-identical, but with per-step cost proportional to the
     /// smaller side of the informed set instead of `k`.
+    ///
+    /// Either answer keeps the step on the one maintained spatial
+    /// hash: wanting the full partition swaps only the labeller (the
+    /// whole partition over the same hash), never adds a rebuild.
     #[inline]
     fn wants_full_components(&self) -> bool {
         true

@@ -8,10 +8,10 @@
 //! its components. A [`Process`] supplies only the parts that differ —
 //! which agents move, what state is exchanged, and when the run is
 //! over — while [`Simulation`] owns the per-step pipeline
-//! (mobility → [`WalkEngine::step_all`] → [`components`] → exchange →
-//! [`Observer`]). Every process therefore gets observers, explicit
-//! stepping, arbitrary [`Topology`] support and deterministic seeding
-//! for free.
+//! (mobility → [`WalkEngine::step_all_into`] → hash maintenance →
+//! labelling → exchange → [`Observer`]). Every process therefore gets
+//! observers, explicit stepping, arbitrary [`Topology`] support and
+//! deterministic seeding for free.
 //!
 //! # Examples
 //!
@@ -32,7 +32,7 @@ use core::ops::ControlFlow;
 
 use rand::RngExt;
 use sparsegossip_conngraph::{
-    components, components_brute_by, components_into_by, components_on_boundary_by, Components,
+    components, components_brute_by, components_on_boundary_by, components_on_by, Components,
     ComponentsScratch, SeededScratch, SpatialHash,
 };
 use sparsegossip_grid::{BarrierGrid, Point, Topology};
@@ -40,9 +40,9 @@ use sparsegossip_walks::{BitSet, WalkEngine};
 
 use crate::{Observer, RumorSets, SimError, StepContext, WorldConfig, WorldContact};
 
-/// Reusable hot-path buffers for a [`Simulation`]: the spatial hash,
-/// union–find and component arrays behind the per-step visibility
-/// rebuild.
+/// Reusable hot-path buffers for a [`Simulation`]: the maintained
+/// spatial hash, its move log, and the union–find and component arrays
+/// behind the per-step visibility labelling.
 ///
 /// Every simulation owns one (construction creates it implicitly), so
 /// after the first few steps warm the buffers a steady-state step
@@ -72,22 +72,26 @@ use crate::{Observer, RumorSets, SimError, StepContext, WorldConfig, WorldContac
 /// regression suite and the conngraph property tests pin this).
 #[derive(Clone, Debug, Default)]
 pub struct SimScratch {
-    /// Full-partition labelling buffers (spatial hash, union–find,
-    /// grouped components).
+    /// Full-partition labelling buffers (union–find, grouped
+    /// components), filled by [`components_on_by`] over `hash`; the
+    /// scratch's own rebuild hash stays unused.
     comps: ComponentsScratch,
-    /// Boundary labelling buffers (the frontier-sparse path).
-    /// Deliberately separate from `comps` (whose internals are private
-    /// to `conngraph`): the full and frontier paths warm disjoint
-    /// buffers, which the scratch-reuse allocation tests rely on.
+    /// Boundary labelling buffers, filled by
+    /// [`components_on_boundary_by`] over `hash`. Deliberately separate
+    /// from `comps` (whose internals are private to `conngraph`): the
+    /// two labellers warm disjoint buffers, which the scratch-reuse
+    /// allocation tests rely on.
     seeded: SeededScratch,
-    /// The incrementally maintained spatial hash of the frontier-sparse
-    /// path, relocated bucket by bucket from the engine's move log.
+    /// The one spatial hash both labellers run on, relocated bucket by
+    /// bucket from the move log on every labelling step.
     hash: SpatialHash,
-    /// Per-step move log filled by the tracking walk steps.
+    /// Per-step move log filled by the walk kernels and the churn
+    /// phase.
     moves: Vec<(u32, Point, Point)>,
     /// Whether `hash` currently mirrors the engine's positions. Cleared
-    /// whenever positions change without a move log (full-path steps,
-    /// re-placement, scratch recycling into a new simulation).
+    /// only by construction, [`Simulation::reset`], scratch recycling
+    /// into a new simulation, and steps that skip labelling (which also
+    /// skip the maintenance); the next labelling then rebuilds it.
     hash_live: bool,
 }
 
@@ -125,7 +129,9 @@ impl SimScratch {
 /// sees the complete labelling.
 #[derive(Clone, Copy, Debug)]
 pub enum ComponentsScope<'a> {
-    /// The exchange consumes the entire partition.
+    /// The exchange consumes the entire partition; the driver labels
+    /// it with [`components_on_by`] over the same maintained spatial
+    /// hash the boundary labeller uses.
     Full,
     /// The exchange only reads the components holding both a set and
     /// an unset bit of the given set (typically the informed agents);
@@ -389,6 +395,43 @@ impl WorldState {
     }
 }
 
+/// Labels the components `scope` asks for at `positions` into
+/// `scratch` — the one labelling phase behind placement and every step.
+///
+/// Both labellers run on `scratch.hash`, the one spatial hash, which
+/// follows the move log ([`SpatialHash::apply_moves`]) while it is
+/// live and is rebuilt only when it is not (construction, reset,
+/// scratch recycling, or a previous step that skipped labelling). A
+/// [`None`](ComponentsScope::None) scope skips labelling, and with it
+/// the hash maintenance.
+// detlint: hot
+fn label<'s>(
+    scratch: &'s mut SimScratch,
+    scope: ComponentsScope<'_>,
+    positions: &[Point],
+    world: &WorldState,
+    radius: u32,
+    side: u32,
+) -> &'s Components {
+    if matches!(scope, ComponentsScope::None) {
+        scratch.hash_live = false;
+        return Components::EMPTY;
+    }
+    if scratch.hash_live {
+        scratch.hash.apply_moves(&scratch.moves);
+    } else {
+        scratch.hash.rebuild(positions, world.bucket_radius, side);
+        scratch.hash_live = true;
+    }
+    let contact = WorldContact::new(radius, world.radii_opt(), world.walls.as_ref());
+    match scope {
+        ComponentsScope::Boundary(set) => {
+            components_on_boundary_by(&scratch.hash, &mut scratch.seeded, positions, set, &contact)
+        }
+        _ => components_on_by(&scratch.hash, &mut scratch.comps, positions, &contact),
+    }
+}
+
 impl<P: Process, T: Topology> Simulation<P, T> {
     /// Places `k` agents uniformly at random on `topo` and runs the
     /// step-0 exchange.
@@ -607,46 +650,25 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// Runs the paper's step-0 exchange on `G_0(r)` — the placement
     /// already forms a visibility graph — and records completion.
     ///
-    /// Processes with a [`Boundary`](ComponentsScope::Boundary) scope get
-    /// boundary labelling here too (the freshly built hash then
-    /// seeds the incremental maintenance of subsequent steps), and a
+    /// The spatial hash is built here, and the steps maintain it from
+    /// then on. Processes with a [`Boundary`](ComponentsScope::Boundary)
+    /// scope get boundary labelling here too, and a
     /// [`None`](ComponentsScope::None) scope skips labelling outright.
     fn placement_exchange(&mut self) {
         let side = self.engine.topology().side();
-        let contact = WorldContact::new(
-            self.radius,
-            self.world.radii_opt(),
-            self.world.walls.as_ref(),
-        );
-        let comps: &Components = if !P::NEEDS_COMPONENTS {
-            Components::EMPTY
+        let scope = if P::NEEDS_COMPONENTS {
+            self.process.components_scope()
         } else {
-            match self.process.components_scope() {
-                ComponentsScope::None => Components::EMPTY,
-                ComponentsScope::Boundary(set) => {
-                    self.scratch.hash.rebuild(
-                        self.engine.positions(),
-                        self.world.bucket_radius,
-                        side,
-                    );
-                    self.scratch.hash_live = true;
-                    components_on_boundary_by(
-                        &self.scratch.hash,
-                        &mut self.scratch.seeded,
-                        self.engine.positions(),
-                        set,
-                        &contact,
-                    )
-                }
-                ComponentsScope::Full => components_into_by(
-                    &mut self.scratch.comps,
-                    self.engine.positions(),
-                    &contact,
-                    self.world.bucket_radius,
-                    side,
-                ),
-            }
+            ComponentsScope::None
         };
+        let comps = label(
+            &mut self.scratch,
+            scope,
+            self.engine.positions(),
+            &self.world,
+            self.radius,
+            side,
+        );
         let flow = self.process.on_placement(ExchangeCtx {
             time: 0,
             side,
@@ -791,21 +813,28 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     }
 
     /// Advances one step of the shared pipeline: mobility rule →
-    /// engine step → [`Process::post_move`] → component labelling (into
-    /// the owned [`SimScratch`], allocation-free at steady state) →
-    /// [`Process::exchange`] → observer. Returns
+    /// engine step → [`Process::post_move`] → churn → component
+    /// labelling (into the owned [`SimScratch`], allocation-free at
+    /// steady state) → [`Process::exchange`] → observer. Returns
     /// [`ControlFlow::Break`] once the process completes.
     ///
-    /// The labelling strategy is picked from the process's
-    /// [`ComponentsScope`]: under a [`Boundary`](ComponentsScope::Boundary)
-    /// scope — and an observer content without the full partition
-    /// ([`Observer::wants_full_components`]) — the engine reports its
-    /// move log, the spatial hash is maintained incrementally
-    /// ([`SpatialHash::apply_moves`]) instead of rebuilt, and only the
-    /// boundary components are labelled, scanning from the smaller side
-    /// of the scope's set ([`components_on_boundary_by`]). Outcomes are
-    /// draw-for-draw identical either way; per-step cost scales with
-    /// the moved set and the smaller side instead of `k`.
+    /// There is one stepping path. The walk kernel always logs its
+    /// moves, and every step that labels first relocates the moved
+    /// agents in the one maintained spatial hash
+    /// ([`SpatialHash::apply_moves`]) instead of rebuilding it. Only the
+    /// labeller differs, picked from the process's [`ComponentsScope`]:
+    /// under a [`Boundary`](ComponentsScope::Boundary) scope — and an
+    /// observer content without the full partition
+    /// ([`Observer::wants_full_components`]) — only the boundary
+    /// components are labelled, scanning from the smaller side of the
+    /// scope's set ([`components_on_boundary_by`]); under a
+    /// [`Full`](ComponentsScope::Full) scope, or for an observer that
+    /// wants the full partition, the whole partition is labelled over
+    /// the same hash ([`components_on_by`]); a
+    /// [`None`](ComponentsScope::None) scope skips labelling. Outcomes
+    /// are draw-for-draw identical whichever labeller runs; per-step
+    /// hash cost scales with the moved set instead of the number of
+    /// buckets.
     ///
     /// # Examples
     ///
@@ -844,111 +873,39 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         rng: &mut R,
         observer: &mut O,
     ) -> ControlFlow<()> {
-        // The observer gate: a scope below Full applies only when the
-        // observer does not demand the complete partition.
-        let scope_sparse = P::NEEDS_COMPONENTS && !observer.wants_full_components();
-        let frontier_sparse = scope_sparse
-            && matches!(
-                self.process.components_scope(),
-                ComponentsScope::Boundary(_)
-            );
-        let skip_components =
-            scope_sparse && matches!(self.process.components_scope(), ComponentsScope::None);
-        let speeds_active = !self.world.speeds.is_empty();
-        if frontier_sparse {
-            // Track the moves so the maintained hash can relocate only
-            // the agents whose bucket changed.
-            match (speeds_active, self.process.mobility_mask()) {
-                (false, None) => self.engine.step_all_into(rng, &mut self.scratch.moves),
-                (false, Some(mask)) => {
-                    self.engine
-                        .step_masked_into(mask, rng, &mut self.scratch.moves)
-                }
-                (true, None) => {
-                    self.engine
-                        .step_speeds_into(&self.world.speeds, rng, &mut self.scratch.moves)
-                }
-                (true, Some(mask)) => self.engine.step_speeds_masked_into(
-                    &self.world.speeds,
-                    mask,
-                    rng,
-                    &mut self.scratch.moves,
-                ),
-            }
-        } else {
-            match (speeds_active, self.process.mobility_mask()) {
-                (false, None) => self.engine.step_all(rng),
-                (false, Some(mask)) => self.engine.step_masked(mask, rng),
-                // The speeds steppers log moves; the full path simply
-                // ignores the log.
-                (true, None) => {
-                    self.engine
-                        .step_speeds_into(&self.world.speeds, rng, &mut self.scratch.moves)
-                }
-                (true, Some(mask)) => self.engine.step_speeds_masked_into(
-                    &self.world.speeds,
-                    mask,
-                    rng,
-                    &mut self.scratch.moves,
-                ),
-            }
-            // Positions changed without a usable move log: the
-            // maintained hash no longer mirrors them.
-            self.scratch.hash_live = false;
+        // Every walk kernel logs its moves, so the maintained hash can
+        // relocate only the agents whose bucket changed.
+        let (speeds, moves) = (&self.world.speeds, &mut self.scratch.moves);
+        match (speeds.is_empty(), self.process.mobility_mask()) {
+            (true, None) => self.engine.step_all_into(rng, moves),
+            (true, Some(mask)) => self.engine.step_masked_into(mask, rng, moves),
+            (false, None) => self.engine.step_speeds_into(speeds, rng, moves),
+            (false, Some(mask)) => self
+                .engine
+                .step_speeds_masked_into(speeds, mask, rng, moves),
         }
         self.process.post_move(self.engine.topology(), rng);
         if self.world.churn_rate > 0.0 {
             self.churn_agents(rng);
         }
-        let side = self.engine.topology().side();
-        let contact = WorldContact::new(
-            self.radius,
-            self.world.radii_opt(),
-            self.world.walls.as_ref(),
-        );
-        let comps: &Components = if !P::NEEDS_COMPONENTS || skip_components {
-            Components::EMPTY
-        } else if frontier_sparse {
-            if let ComponentsScope::Boundary(set) = self.process.components_scope() {
-                if self.scratch.hash_live {
-                    self.scratch.hash.apply_moves(&self.scratch.moves);
-                } else {
-                    self.scratch.hash.rebuild(
-                        self.engine.positions(),
-                        self.world.bucket_radius,
-                        side,
-                    );
-                    self.scratch.hash_live = true;
-                }
-                components_on_boundary_by(
-                    &self.scratch.hash,
-                    &mut self.scratch.seeded,
-                    self.engine.positions(),
-                    set,
-                    &contact,
-                )
-            } else {
-                // A custom process switched scope between the move and
-                // the labelling (no built-in process does): fall back to
-                // the always-correct full build.
-                self.scratch.hash_live = false;
-                components_into_by(
-                    &mut self.scratch.comps,
-                    self.engine.positions(),
-                    &contact,
-                    self.world.bucket_radius,
-                    side,
-                )
-            }
+        // The observer gate: a scope below Full applies only when the
+        // observer does not demand the complete partition.
+        let scope = if !P::NEEDS_COMPONENTS {
+            ComponentsScope::None
+        } else if observer.wants_full_components() {
+            ComponentsScope::Full
         } else {
-            components_into_by(
-                &mut self.scratch.comps,
-                self.engine.positions(),
-                &contact,
-                self.world.bucket_radius,
-                side,
-            )
+            self.process.components_scope()
         };
+        let side = self.engine.topology().side();
+        let comps = label(
+            &mut self.scratch,
+            scope,
+            self.engine.positions(),
+            &self.world,
+            self.radius,
+            side,
+        );
         let flow = self.process.exchange(ExchangeCtx {
             time: self.engine.time(),
             side,

@@ -1,5 +1,4 @@
 use sparsegossip_conngraph::Components;
-use sparsegossip_walks::BitSet;
 
 /// Per-agent rumor sets for multi-rumor (gossip) runs.
 ///
@@ -26,11 +25,19 @@ use sparsegossip_walks::BitSet;
 /// ```
 #[derive(Clone, Debug)]
 pub struct RumorSets {
-    sets: Vec<BitSet>,
+    /// One contiguous bit matrix: agent `a`'s set is the row
+    /// `words[a * row..(a + 1) * row]`. Building the initial condition
+    /// is one allocation (not one per agent), and the exchange and the
+    /// completion check stream through adjacent rows.
+    words: Vec<u64>,
+    /// Words per row: `num_rumors` bits, rounded up.
+    row: usize,
+    /// The number of agents (rows).
+    k: usize,
     num_rumors: usize,
-    /// Reused union accumulator for [`RumorSets::exchange`], so the
-    /// per-step exchange never allocates.
-    union_scratch: BitSet,
+    /// Reused union accumulator (one row) for [`RumorSets::exchange`],
+    /// so the per-step exchange never allocates.
+    union_scratch: Vec<u64>,
 }
 
 impl RumorSets {
@@ -38,18 +45,7 @@ impl RumorSets {
     /// (the gossip initial condition of Corollary 2).
     #[must_use]
     pub fn distinct(k: usize) -> Self {
-        let sets = (0..k)
-            .map(|i| {
-                let mut s = BitSet::new(k);
-                s.insert(i);
-                s
-            })
-            .collect();
-        Self {
-            sets,
-            num_rumors: k,
-            union_scratch: BitSet::new(k),
-        }
+        Self::seeded(k, k)
     }
 
     /// `num_rumors` rumors held by the first `num_rumors` agents
@@ -62,27 +58,42 @@ impl RumorSets {
     #[must_use]
     pub fn with_rumors(k: usize, num_rumors: usize) -> Self {
         assert!(num_rumors > 0 && num_rumors <= k, "need 1..=k rumors");
-        let sets = (0..k)
-            .map(|i| {
-                let mut s = BitSet::new(num_rumors);
-                if i < num_rumors {
-                    s.insert(i);
-                }
-                s
-            })
-            .collect();
-        Self {
-            sets,
-            num_rumors,
-            union_scratch: BitSet::new(num_rumors),
+        Self::seeded(k, num_rumors)
+    }
+
+    /// `k` agents and `num_rumors ≤ k` rumors, agent `i < num_rumors`
+    /// knowing rumor `i`.
+    fn seeded(k: usize, num_rumors: usize) -> Self {
+        let row = num_rumors.div_ceil(64);
+        let mut words = vec![0; k * row];
+        for i in 0..num_rumors {
+            words[i * row + i / 64] |= 1 << (i % 64);
         }
+        Self {
+            words,
+            row,
+            k,
+            num_rumors,
+            union_scratch: vec![0; row],
+        }
+    }
+
+    /// Agent `a`'s row of the bit matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is out of range.
+    #[inline]
+    fn set(&self, a: usize) -> &[u64] {
+        assert!(a < self.k, "agent {a} out of range {}", self.k);
+        &self.words[a * self.row..(a + 1) * self.row]
     }
 
     /// The number of agents.
     #[inline]
     #[must_use]
     pub fn k(&self) -> usize {
-        self.sets.len()
+        self.k
     }
 
     /// The number of rumors in the system.
@@ -100,31 +111,32 @@ impl RumorSets {
     #[inline]
     #[must_use]
     pub fn count(&self, a: usize) -> usize {
-        self.sets[a].count_ones()
+        self.set(a).iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether agent `a` knows rumor `m`.
     ///
     /// # Panics
     ///
-    /// Panics if `a` is out of range.
+    /// Panics if `a` is out of range, and if `m` is in debug builds.
     #[inline]
     #[must_use]
     pub fn knows(&self, a: usize, m: usize) -> bool {
-        self.sets[a].contains(m)
+        debug_assert!(m < self.num_rumors, "rumor {m} out of range");
+        (self.set(a)[m / 64] >> (m % 64)) & 1 == 1
     }
 
     /// Whether every agent knows every rumor (the gossip completion
     /// condition).
     #[must_use]
     pub fn all_complete(&self) -> bool {
-        self.sets.iter().all(|s| s.count_ones() == self.num_rumors)
+        (0..self.k).all(|a| self.count(a) == self.num_rumors)
     }
 
     /// The minimum rumor count over agents (progress metric).
     #[must_use]
     pub fn min_count(&self) -> usize {
-        self.sets.iter().map(BitSet::count_ones).min().unwrap_or(0)
+        (0..self.k).map(|a| self.count(a)).min().unwrap_or(0)
     }
 
     /// Applies one synchronous exchange: within each component, every
@@ -134,18 +146,28 @@ impl RumorSets {
     /// and member sets are overwritten in place.
     // detlint: hot
     pub fn exchange(&mut self, comps: &Components) {
-        let union = &mut self.union_scratch;
+        let Self {
+            words,
+            row,
+            union_scratch: union,
+            ..
+        } = self;
+        let row = *row;
         for c in 0..comps.count() {
             let members = comps.members(c);
             if members.len() == 1 {
                 continue;
             }
-            union.clear();
+            union.fill(0);
             for &m in members {
-                union.union_with(&self.sets[m as usize]);
+                let start = m as usize * row;
+                for (u, w) in union.iter_mut().zip(&words[start..start + row]) {
+                    *u |= w;
+                }
             }
             for &m in members {
-                self.sets[m as usize].copy_from(union);
+                let start = m as usize * row;
+                words[start..start + row].copy_from_slice(union);
             }
         }
     }
@@ -199,6 +221,34 @@ mod tests {
         assert_eq!(s.count(0), 1);
         assert_eq!(s.count(4), 0);
         assert_eq!(s.min_count(), 0);
+    }
+
+    #[test]
+    fn rows_span_several_words() {
+        // 130 rumors need three words per row; every bit must land in
+        // its own agent's row and survive the union.
+        let mut s = RumorSets::distinct(130);
+        for a in [0, 63, 64, 127, 128, 129] {
+            assert_eq!(s.count(a), 1);
+            assert!(s.knows(a, a));
+            assert!(!s.knows(a, (a + 1) % 130));
+        }
+        let positions: Vec<Point> = (0..130)
+            .map(|i| {
+                if i < 65 {
+                    Point::new(0, 0)
+                } else {
+                    Point::new(7, 7)
+                }
+            })
+            .collect();
+        s.exchange(&components(&positions, 0, 8));
+        assert_eq!(s.count(3), 65);
+        assert_eq!(s.count(129), 65);
+        assert!(s.knows(0, 64) && !s.knows(0, 65));
+        assert!(s.knows(129, 65) && !s.knows(129, 64));
+        assert_eq!(s.min_count(), 65);
+        assert!(!s.all_complete());
     }
 
     #[test]

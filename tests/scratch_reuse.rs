@@ -10,6 +10,7 @@ use core::ops::ControlFlow;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sparsegossip::conngraph::Components;
 use sparsegossip::core::SimScratch;
 use sparsegossip::grid::Point;
 use sparsegossip::prelude::*;
@@ -19,7 +20,7 @@ use sparsegossip_bench::{thread_allocs, ThreadCountingAlloc};
 static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
 
 /// A do-nothing observer that still demands the full visibility
-/// partition, forcing the driver onto the classic rebuild path.
+/// partition, forcing the driver onto the full-partition labeller.
 struct FullView;
 
 impl sparsegossip::core::Observer for FullView {
@@ -265,14 +266,114 @@ fn steady_state_steps_are_allocation_free() {
         0,
         "masked-mobility step allocated"
     );
+
+    // Gossip (a `Full` scope: the whole partition over the maintained
+    // hash, then rumor unions), and the full-partition path at r = 0,
+    // where every move crosses a bucket of the side² bucket grid.
+    let mut rng = SmallRng::seed_from_u64(14);
+    let mut sim = Simulation::gossip(&cfg, &mut rng).unwrap();
+    for _ in 0..60 {
+        let _ = sim.step(&mut rng, &mut sparsegossip::core::NullObserver);
+    }
+    let before = thread_allocs();
+    for _ in 0..100 {
+        let _ = sim.step(&mut rng, &mut sparsegossip::core::NullObserver);
+    }
+    assert_eq!(thread_allocs() - before, 0, "gossip step allocated");
+
+    let mut rng = SmallRng::seed_from_u64(15);
+    let mut sim = Simulation::broadcast(&config(48, 24, 0), &mut rng).unwrap();
+    for _ in 0..60 {
+        let _ = sim.step(&mut rng, &mut full);
+    }
+    let before = thread_allocs();
+    for _ in 0..100 {
+        let _ = sim.step(&mut rng, &mut full);
+    }
+    assert_eq!(
+        thread_allocs() - before,
+        0,
+        "r = 0 full-partition step allocated"
+    );
+}
+
+/// An observer that wants the full partition and keeps a copy of the
+/// one it was last shown.
+#[derive(Default)]
+struct PartitionRecorder(Components);
+
+impl sparsegossip::core::Observer for PartitionRecorder {
+    fn on_step(&mut self, ctx: sparsegossip::core::StepContext<'_>) {
+        self.0 = ctx.components.clone();
+    }
+}
+
+/// Steps `sim` to completion or `max_steps` (at most 400 steps),
+/// asserting after every step that the partition the observer saw is
+/// the full partition of the current positions.
+fn assert_partition_pinned<P: Process, T: Topology>(
+    sim: &mut Simulation<P, T>,
+    rng: &mut SmallRng,
+    label: &str,
+) {
+    let mut seen = PartitionRecorder::default();
+    while !sim.is_complete() && sim.time() < sim.max_steps().min(400) {
+        let _ = sim.step(rng, &mut seen);
+        assert_eq!(seen.0, sim.current_components(), "{label} t={}", sim.time());
+    }
+}
+
+#[test]
+fn observed_partition_is_the_full_partition_every_step() {
+    // Every labelling step runs on the maintained hash; whatever the
+    // process's scope, an observer that wants the full partition must
+    // see exactly `current_components()` (a fresh build) every step.
+    for seed in 0..4u64 {
+        let cfg = config(28, 14, 1);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut sim = Simulation::gossip(&cfg, &mut rng).unwrap();
+        assert_partition_pinned(&mut sim, &mut rng, "gossip");
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut sim = Simulation::coverage(&cfg, &mut rng).unwrap();
+        assert_partition_pinned(&mut sim, &mut rng, "coverage");
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut sim = Simulation::broadcast(&cfg, &mut rng).unwrap();
+        assert_partition_pinned(&mut sim, &mut rng, "broadcast");
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        match WorldSim::from_spec(&churn_spec(5), &mut rng).unwrap() {
+            WorldSim::Open(mut sim) => assert_partition_pinned(&mut sim, &mut rng, "churn"),
+            WorldSim::Walled(mut sim) => assert_partition_pinned(&mut sim, &mut rng, "churn"),
+        }
+
+        // The one-hop rule declares `None`: a `NullObserver` step skips
+        // labelling and with it the hash maintenance, so the next
+        // full-view step must rebuild the hash, not replay only its own
+        // moves.
+        let one_hop = SimConfig::builder(28, 14)
+            .radius(1)
+            .exchange_rule(ExchangeRule::OneHop)
+            .build()
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut sim = Simulation::broadcast(&one_hop, &mut rng).unwrap();
+        let mut seen = PartitionRecorder::default();
+        while !sim.is_complete() && sim.time() < 400 {
+            let _ = sim.step(&mut rng, &mut sparsegossip::core::NullObserver);
+            let _ = sim.step(&mut rng, &mut seen);
+            assert_eq!(seen.0, sim.current_components(), "one-hop t={}", sim.time());
+        }
+    }
 }
 
 #[test]
 fn frontier_sparse_path_matches_full_path_outcomes() {
     // Running the same seeds under NullObserver (frontier-sparse
-    // labelling + incremental hash) and under a full-components
-    // observer (classic rebuild path) must produce identical outcomes —
-    // the engine switch is draw-for-draw invisible.
+    // labelling) and under a full-components observer (full-partition
+    // labelling over the same maintained hash) must produce identical
+    // outcomes — the labeller switch is draw-for-draw invisible.
     for seed in 0..8u64 {
         let cfg = config(28, 14, 1);
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -307,8 +408,8 @@ fn frontier_sparse_path_matches_full_path_outcomes() {
         let full = sim.run_with(&mut rng, &mut FullView);
         assert_eq!(skipped, full, "one-hop seed={seed}");
 
-        // Alternating observers mid-run (hash invalidation and rebuild
-        // on every switch) must also stay on the golden trajectory.
+        // Alternating observers mid-run (the labeller switches every
+        // step) must also stay on the golden trajectory.
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut sim = Simulation::broadcast(&cfg, &mut rng).unwrap();
         let mut flip = 0u32;
@@ -371,8 +472,9 @@ fn frontier_sparse_path_matches_full_path_outcomes() {
 
 /// Steps two simulations built from the same seed in lockstep — one
 /// under `NullObserver` (boundary labelling over the maintained hash),
-/// one under `FullView` (the full rebuild) — asserting equal informed
-/// sets after placement and after every step, and equal completion.
+/// one under `FullView` (the full partition over it) — asserting equal
+/// informed sets after placement and after every step, and equal
+/// completion.
 fn assert_informed_lockstep<P: Process, T: Topology>(
     make: impl Fn(&mut SmallRng) -> Simulation<P, T>,
     seed: u64,
